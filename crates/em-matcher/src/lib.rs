@@ -46,5 +46,5 @@ pub use calibration::{apply_temperature, expected_calibration_error};
 pub use committee::{Committee, CommitteeConfig};
 pub use features::{FeatureConfig, Featurizer};
 pub use matcher::{train_matcher, MatcherConfig, MatcherOutput, MatcherSnapshot, TrainedMatcher};
-pub use mlp::{Mlp, MlpWorkspace};
+pub use mlp::{Mlp, MlpWorkspace, DENSE_INPUT_DENSITY};
 pub use reference::{predict_reference, train_matcher_reference};

@@ -8,25 +8,29 @@
 //! the match probability (temperature-sharpened, see
 //! [`crate::calibration`]) and the pair representation.
 //!
-//! Both halves run on the batched GEMM engine: training steps go through
-//! [`Mlp::backward_batch`] over one reusable [`MlpWorkspace`], the
-//! per-epoch validation probe evaluates F1 through a borrowed batched
-//! forward pass (no `mlp.clone()`, no throwaway matcher), and
-//! [`TrainedMatcher::predict`] packs the requested rows and fans the
-//! forward passes out over rayon chunks — bit-identical to the per-row
-//! [`TrainedMatcher::predict_one`] path, chunked or not (the golden
-//! tests below assert it). The seed's scalar loop lives on in
+//! Both halves run on the batched engine (see [`crate::mlp`]):
+//! training lays the network's first layer out for sparse or dense
+//! inputs by the training rows' density (sparse ones are packed into
+//! [`SparseRows`] once), then each step goes through
+//! [`Mlp::backward_batch_sparse`] or [`Mlp::backward_batch`] over one
+//! reusable [`MlpWorkspace`];
+//! the per-epoch validation probe evaluates F1 through a borrowed
+//! batched forward pass (no `mlp.clone()`, no throwaway matcher); and
+//! [`TrainedMatcher::predict`] packs the requested rows and fans
+//! the forward passes out over rayon chunks — bit-identical to the
+//! per-row [`TrainedMatcher::predict_one`] path, chunked or not (the
+//! golden tests below assert it). The seed's scalar loop lives on in
 //! [`crate::reference`] as the benchmark baseline.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use em_core::{BinaryConfusion, EmError, Label, Prediction, Result, Rng};
-use em_vector::Embeddings;
+use em_vector::{pack_rows, Embeddings, SparseRows};
 
 use crate::adamw::AdamW;
 use crate::calibration::apply_temperature;
-use crate::mlp::{sigmoid, Mlp, MlpWorkspace};
+use crate::mlp::{sigmoid, Mlp, MlpWorkspace, DENSE_INPUT_DENSITY};
 
 /// Rows per parallel prediction chunk: large enough that the per-chunk
 /// workspace allocation amortizes, small enough to fan out on few-row
@@ -115,7 +119,7 @@ pub struct MatcherSnapshot {
     pub input_dim: usize,
     /// Hidden-layer widths (the last is the representation dimension).
     pub hidden: Vec<usize>,
-    /// Flat network parameters ([`Mlp::snapshot`] layout).
+    /// Flat network parameters ([`Mlp::to_params`] layout).
     pub params: Vec<f32>,
     /// Prediction-time sharpening temperature.
     pub temperature: f32,
@@ -219,7 +223,7 @@ impl TrainedMatcher {
         MatcherSnapshot {
             input_dim: self.mlp.input_dim(),
             hidden: self.mlp.hidden_dims(),
-            params: self.mlp.snapshot(),
+            params: self.mlp.to_params(),
             temperature: self.temperature,
             best_valid_f1: self.best_valid_f1,
             best_epoch: self.best_epoch,
@@ -262,7 +266,8 @@ impl TrainedMatcher {
 
     /// Predict rows `indices` of the feature matrix.
     ///
-    /// Rows are packed into contiguous chunks and each chunk runs one
+    /// Rows are packed in chunks (sparse for a sparse-input network,
+    /// dense otherwise) and each chunk runs one
     /// batched forward pass on its own [`MlpWorkspace`]; chunks execute
     /// in parallel and results are reassembled in index order, so the
     /// output is bit-identical to calling [`TrainedMatcher::predict_one`]
@@ -284,17 +289,18 @@ impl TrainedMatcher {
                 representations: Embeddings::new(repr_dim)?,
             });
         }
-        let dim = features.dim();
         let chunks: Vec<&[usize]> = indices.chunks(PREDICT_CHUNK).collect();
         let parts: Vec<Result<(Vec<Prediction>, Vec<f32>)>> = chunks
             .par_iter()
             .map(|&chunk| {
                 let mut ws = MlpWorkspace::new();
-                let mut xbuf = Vec::with_capacity(chunk.len() * dim);
-                for &i in chunk {
-                    xbuf.extend_from_slice(features.row(i));
-                }
-                let (logits, reprs) = self.mlp.forward_batch(&xbuf, chunk.len(), &mut ws)?;
+                let (logits, reprs) = if self.mlp.sparse_input() {
+                    let rows = SparseRows::from_rows(features, chunk)?;
+                    self.mlp.forward_batch_sparse(&rows, &mut ws)?
+                } else {
+                    let rows = pack_rows(features, chunk);
+                    self.mlp.forward_batch(&rows, chunk.len(), &mut ws)?
+                };
                 let mut preds = Vec::with_capacity(chunk.len());
                 for &logit in logits {
                     let prob = apply_temperature(sigmoid(logit), self.temperature)?;
@@ -333,6 +339,15 @@ impl TrainedMatcher {
         let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
         Ok(BinaryConfusion::from_labels(&predicted, truth)?.metrics())
     }
+}
+
+/// Share of nonzero entries over rows `idx` of `features`.
+fn density(features: &Embeddings, idx: &[usize]) -> f64 {
+    let nonzero: usize = idx
+        .iter()
+        .map(|&i| features.row(i).iter().filter(|&&x| x != 0.0).count())
+        .sum();
+    nonzero as f64 / (idx.len() * features.dim()) as f64
 }
 
 /// Train a matcher on rows `train_idx` (with `train_labels`) of
@@ -380,6 +395,28 @@ pub fn train_matcher(
 
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut mlp = Mlp::new(features.dim(), &config.hidden, &mut rng)?;
+    // The first-layer kernel follows the training rows' density; both
+    // produce the same bits.
+    let sparse_input = density(features, train_idx) < DENSE_INPUT_DENSITY;
+    mlp.set_sparse_input(sparse_input);
+
+    // The train and validation rows never change. For sparse inputs,
+    // pack their nonzeros once: each mini-batch gathers its rows from
+    // the packed set, and every epoch's probe reuses the validation
+    // batch (and the training workspace). Dense inputs read the training
+    // rows in place and pack the validation rows once.
+    let dim = features.dim();
+    let (train_rows, valid_rows, valid_xs) = if sparse_input {
+        (
+            SparseRows::from_rows(features, train_idx)?,
+            SparseRows::from_rows(features, valid_idx)?,
+            Vec::new(),
+        )
+    } else {
+        let valid_xs = pack_rows(features, valid_idx);
+        (SparseRows::new(dim), SparseRows::new(dim), valid_xs)
+    };
+    let mut batch = SparseRows::new(dim);
     let mut opt = AdamW::new(mlp.n_params(), config.lr, config.weight_decay)?;
     let decay_mask = mlp.decay_mask().to_vec();
 
@@ -390,20 +427,21 @@ pub fn train_matcher(
     let mut best_f1 = f64::NEG_INFINITY;
     let mut best_epoch = 0usize;
 
-    // The validation rows never change: pack them once and reuse the
-    // buffer (and the training workspace) for every epoch's probe.
-    let valid_xs: Vec<f32> = valid_idx
-        .iter()
-        .flat_map(|&i| features.row(i).iter().copied())
-        .collect();
-
     for epoch in 0..config.epochs {
         rng.shuffle(&mut order);
         for chunk in order.chunks(config.batch_size) {
-            let xs: Vec<&[f32]> = chunk.iter().map(|&o| features.row(train_idx[o])).collect();
             let ys: Vec<f32> = chunk.iter().map(|&o| train_labels[o].as_f32()).collect();
-            let wts = vec![1.0f32; xs.len()];
-            mlp.backward_batch(&xs, &ys, &wts, &mut ws, &mut grads)?;
+            let wts = vec![1.0f32; chunk.len()];
+            if sparse_input {
+                batch.clear();
+                for &o in chunk {
+                    batch.push_row_of(&train_rows, o)?;
+                }
+                mlp.backward_batch_sparse(&batch, &ys, &wts, &mut ws, &mut grads)?;
+            } else {
+                let xs: Vec<&[f32]> = chunk.iter().map(|&o| features.row(train_idx[o])).collect();
+                mlp.backward_batch(&xs, &ys, &wts, &mut ws, &mut grads)?;
+            }
             opt.step(mlp.params_mut(), &grads, &decay_mask)?;
         }
         // Best-epoch selection on validation F1 (paper §4.2) through a
@@ -414,7 +452,11 @@ pub fn train_matcher(
         // monotone with fixed point 0.5, so the resulting F1 is
         // identical to the full prediction path's.
         if !valid_idx.is_empty() {
-            let (logits, _) = mlp.forward_batch(&valid_xs, valid_idx.len(), &mut ws)?;
+            let (logits, _) = if sparse_input {
+                mlp.forward_batch_sparse(&valid_rows, &mut ws)?
+            } else {
+                mlp.forward_batch(&valid_xs, valid_idx.len(), &mut ws)?
+            };
             let predicted: Vec<Label> = logits
                 .iter()
                 .map(|&z| Label::from_bool(sigmoid(z) >= 0.5))
@@ -599,6 +641,44 @@ mod tests {
         .unwrap();
         assert!(m.best_valid_f1 > 0.0);
         assert!(m.best_epoch < MatcherConfig::default().epochs);
+    }
+
+    #[test]
+    fn dense_features_train_the_dense_layout_with_the_same_bits() {
+        // Dense Gaussian rows: training lays the first layer out for
+        // dense inputs; featurized rows keep the sparse layout.
+        let mut rng = Rng::seed_from_u64(11);
+        let rows: Vec<Vec<f32>> = (0..120)
+            .map(|_| (0..24).map(|_| rng.normal() as f32).collect())
+            .collect();
+        let feats = Embeddings::from_rows(&rows).unwrap();
+        let labels: Vec<Label> = rows.iter().map(|r| Label::from_bool(r[0] > 0.0)).collect();
+        let (train, test): (Vec<usize>, Vec<usize>) = (0..120).partition(|i| i % 4 != 0);
+        let train_labels: Vec<Label> = train.iter().map(|&i| labels[i]).collect();
+        let cfg = MatcherConfig {
+            epochs: 3,
+            ..Default::default()
+        };
+        let m = train_matcher(&feats, &train, &train_labels, &[], &[], &cfg).unwrap();
+        assert!(!m.mlp().sparse_input());
+        let (sparse_feats, sparse_train, sparse_labels, _, _) = small_task();
+        let sparse =
+            train_matcher(&sparse_feats, &sparse_train, &sparse_labels, &[], &[], &cfg).unwrap();
+        assert!(sparse.mlp().sparse_input());
+        // A restored matcher is laid out for sparse inputs, yet predicts
+        // the dense-trained matcher's bits, batched and per row.
+        let restored = TrainedMatcher::from_snapshot(&m.to_snapshot()).unwrap();
+        assert!(restored.mlp().sparse_input());
+        let out = m.predict(&feats, &test).unwrap();
+        let again = restored.predict(&feats, &test).unwrap();
+        for (bi, &i) in test.iter().enumerate() {
+            let (pred, repr) = m.predict_one(feats.row(i)).unwrap();
+            for p in [&out.predictions[bi], &again.predictions[bi]] {
+                assert_eq!(p.prob.to_bits(), pred.prob.to_bits(), "row {i}");
+            }
+            assert_eq!(out.representations.row(bi), repr.as_slice());
+            assert_eq!(again.representations.row(bi), repr.as_slice());
+        }
     }
 
     #[test]

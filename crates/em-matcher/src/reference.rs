@@ -29,20 +29,24 @@ use em_vector::Embeddings;
 use crate::adamw::AdamW;
 use crate::calibration::apply_temperature;
 use crate::matcher::{MatcherConfig, MatcherOutput, TrainedMatcher};
-use crate::mlp::{sigmoid, Mlp};
+use crate::mlp::{sigmoid, LayerSpec, Mlp};
 
 /// Seed-verbatim forward pass: one running accumulator per output unit
 /// (bias first, then a single sequential multiply-add chain).
 pub fn forward_reference(mlp: &Mlp, x: &[f32]) -> Result<(f32, Vec<f32>)> {
-    if x.len() != mlp.input_dim() {
+    forward_seed(mlp.layer_specs(), &mlp.to_params(), x)
+}
+
+/// The seed's forward over parameters in the checkpoint layout (every
+/// weight block output-major, as the seed stored them).
+fn forward_seed(layers: &[LayerSpec], params: &[f32], x: &[f32]) -> Result<(f32, Vec<f32>)> {
+    if x.len() != layers[0].in_dim {
         return Err(EmError::DimensionMismatch {
             context: "MLP forward".into(),
-            expected: mlp.input_dim(),
+            expected: layers[0].in_dim,
             actual: x.len(),
         });
     }
-    let layers = mlp.layer_specs();
-    let params = mlp.params();
     let mut activation = x.to_vec();
     let mut repr = Vec::new();
     for (li, spec) in layers.iter().enumerate() {
@@ -71,9 +75,29 @@ pub fn forward_reference(mlp: &Mlp, x: &[f32]) -> Result<(f32, Vec<f32>)> {
 
 /// Seed-verbatim forward + backward over a mini-batch: per-sample
 /// forward with freshly allocated activation vectors, then per-sample
-/// gradient accumulation in sample order.
+/// gradient accumulation in sample order. `grads` comes back in the
+/// checkpoint layout ([`Mlp::to_params`]).
 pub fn backward_batch_reference(
     mlp: &Mlp,
+    xs: &[&[f32]],
+    targets: &[f32],
+    sample_weights: &[f32],
+    grads: &mut Vec<f32>,
+) -> Result<f32> {
+    backward_seed(
+        mlp.layer_specs(),
+        &mlp.to_params(),
+        xs,
+        targets,
+        sample_weights,
+        grads,
+    )
+}
+
+/// The seed's forward + backward over checkpoint-layout parameters.
+fn backward_seed(
+    layers: &[LayerSpec],
+    params: &[f32],
     xs: &[&[f32]],
     targets: &[f32],
     sample_weights: &[f32],
@@ -89,8 +113,6 @@ pub fn backward_batch_reference(
     if xs.is_empty() {
         return Err(EmError::EmptyInput("MLP batch".into()));
     }
-    let layers = mlp.layer_specs();
-    let params = mlp.params();
     grads.clear();
     grads.resize(params.len(), 0.0);
 
@@ -100,10 +122,10 @@ pub fn backward_batch_reference(
 
     // Per-sample forward with cached activations, then backward.
     for (si, &x) in xs.iter().enumerate() {
-        if x.len() != mlp.input_dim() {
+        if x.len() != layers[0].in_dim {
             return Err(EmError::DimensionMismatch {
                 context: "MLP backward_batch input".into(),
-                expected: mlp.input_dim(),
+                expected: layers[0].in_dim,
                 actual: x.len(),
             });
         }
@@ -189,6 +211,7 @@ pub fn predict_reference(
     indices: &[usize],
 ) -> Result<MatcherOutput> {
     let mlp = matcher.mlp();
+    let params = mlp.to_params();
     let mut predictions = Vec::with_capacity(indices.len());
     let mut representations = Embeddings::new(mlp.repr_dim())?;
     for &i in indices {
@@ -199,7 +222,7 @@ pub fn predict_reference(
                 len: features.len(),
             });
         }
-        let (logit, repr) = forward_reference(mlp, features.row(i))?;
+        let (logit, repr) = forward_seed(mlp.layer_specs(), &params, features.row(i))?;
         let prob = apply_temperature(sigmoid(logit), matcher.temperature())?;
         predictions.push(Prediction::from_prob(prob));
         representations.push(&repr)?;
@@ -242,13 +265,17 @@ pub fn train_matcher_reference(
     }
 
     let mut rng = Rng::seed_from_u64(config.seed);
-    let mut mlp = Mlp::new(features.dim(), &config.hidden, &mut rng)?;
-    let mut opt = AdamW::new(mlp.n_params(), config.lr, config.weight_decay)?;
+    let mlp = Mlp::new(features.dim(), &config.hidden, &mut rng)?;
+    // The seed trained its flat, output-major parameter buffer in place.
+    let layers = mlp.layer_specs().to_vec();
+    let mut params = mlp.to_params();
+    let mut opt = AdamW::new(params.len(), config.lr, config.weight_decay)?;
+    // Weight blocks occupy the same ranges in both layouts.
     let decay_mask = mlp.decay_mask().to_vec();
 
     let mut order: Vec<usize> = (0..train_idx.len()).collect();
     let mut grads: Vec<f32> = Vec::new();
-    let mut best_snapshot = mlp.snapshot();
+    let mut best_snapshot = params.clone();
     let mut best_f1 = f64::NEG_INFINITY;
     let mut best_epoch = 0usize;
 
@@ -258,13 +285,14 @@ pub fn train_matcher_reference(
             let xs: Vec<&[f32]> = chunk.iter().map(|&o| features.row(train_idx[o])).collect();
             let ys: Vec<f32> = chunk.iter().map(|&o| train_labels[o].as_f32()).collect();
             let ws = vec![1.0f32; xs.len()];
-            backward_batch_reference(&mlp, &xs, &ys, &ws, &mut grads)?;
-            opt.step(mlp.params_mut(), &grads, &decay_mask)?;
+            backward_seed(&layers, &params, &xs, &ys, &ws, &mut grads)?;
+            opt.step(&mut params, &grads, &decay_mask)?;
         }
         // Best-epoch selection on validation F1 through a full throwaway
         // matcher clone, as the seed did it.
         if !valid_idx.is_empty() {
-            let probe = TrainedMatcher::from_parts(mlp.clone(), config.temperature, 0.0, 0);
+            let probe_mlp = Mlp::from_params(features.dim(), &config.hidden, params.clone())?;
+            let probe = TrainedMatcher::from_parts(probe_mlp, config.temperature, 0.0, 0);
             let out = predict_reference(&probe, features, valid_idx)?;
             let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
             let f1 = BinaryConfusion::from_labels(&predicted, valid_labels)?
@@ -272,18 +300,17 @@ pub fn train_matcher_reference(
                 .f1;
             if f1 > best_f1 {
                 best_f1 = f1;
-                best_snapshot = mlp.snapshot();
+                best_snapshot = params.clone();
                 best_epoch = epoch;
             }
         } else {
-            best_snapshot = mlp.snapshot();
+            best_snapshot = params.clone();
             best_epoch = epoch;
         }
     }
-    mlp.restore(&best_snapshot)?;
 
     Ok(TrainedMatcher::from_parts(
-        mlp,
+        Mlp::from_params(features.dim(), &config.hidden, best_snapshot)?,
         config.temperature,
         if best_f1.is_finite() { best_f1 } else { 0.0 },
         best_epoch,
@@ -325,10 +352,15 @@ mod tests {
         let mut g_ref = Vec::new();
         let loss_ref = backward_batch_reference(&mlp, &xs, &ys, &wts, &mut g_ref).unwrap();
         let mut ws = MlpWorkspace::new();
-        let mut g_new = Vec::new();
+        let mut g_train = Vec::new();
         let loss_new = mlp
-            .backward_batch(&xs, &ys, &wts, &mut ws, &mut g_new)
+            .backward_batch(&xs, &ys, &wts, &mut ws, &mut g_train)
             .unwrap();
+        // Gradients come back in the training layout; compare them in
+        // the checkpoint layout the reference uses.
+        let mut as_params = mlp.clone();
+        as_params.restore(&g_train).unwrap();
+        let g_new = as_params.to_params();
         assert!((loss_ref - loss_new).abs() <= 1e-4 * (1.0 + loss_ref.abs()));
         assert_eq!(g_ref.len(), g_new.len());
         for (i, (a, b)) in g_ref.iter().zip(&g_new).enumerate() {

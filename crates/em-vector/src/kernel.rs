@@ -641,6 +641,18 @@ pub fn pack_rows(data: &Embeddings, rows: &[usize]) -> Vec<f32> {
     out
 }
 
+/// Transpose the row-major `rows × cols` matrix `src` into `dst`
+/// (`cols × rows`, row-major).
+pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols);
+    assert_eq!(dst.len(), rows * cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
 /// Blocked Gram matrix between two packed row sets: `out[i·nb + j] =
 /// dot(a_i, b_j)`.
 ///
@@ -1324,6 +1336,23 @@ mod tests {
         assert_eq!(ulp_diff(a, next_toward_zero), 1);
         // Symmetric.
         assert_eq!(ulp_diff(3.5, 3.25), ulp_diff(3.25, 3.5));
+    }
+
+    #[test]
+    fn transpose_round_trips_ragged_shapes() {
+        for (rows, cols) in [(1usize, 1usize), (3, 17), (16, 16), (33, 5), (40, 96)] {
+            let src: Vec<f32> = (0..rows * cols).map(|v| v as f32).collect();
+            let mut t = vec![0.0f32; rows * cols];
+            transpose(&src, rows, cols, &mut t);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t[c * rows + r], src[r * cols + c]);
+                }
+            }
+            let mut back = vec![0.0f32; rows * cols];
+            transpose(&t, cols, rows, &mut back);
+            assert_eq!(back, src);
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   unrolled squared distances, parallelized with rayon and
 //!   runtime-dispatched to AVX2 where available (bit-identical across
 //!   tiers — see the module docs),
+//! * [`sparse`] — [`SparseRows`] (compressed sparse rows) and the
+//!   sparse-input layer product behind the matcher's first layer,
+//!   bit-identical to the dense fused GEMM on every tier,
 //! * [`lsh`] — random-hyperplane locality-sensitive hashing, and
 //! * [`hnsw`] — a hierarchical navigable small world index; LSH and HNSW
 //!   implement the approximate-search future work the paper names in §5.2,
@@ -39,16 +42,18 @@ pub mod knn;
 pub mod lsh;
 pub mod pca;
 pub mod policy;
+pub mod sparse;
 pub mod tsne;
 
 pub use embeddings::{cosine, dot, norm, normalize, Embeddings};
 pub use hnsw::{Hnsw, HnswConfig, HnswScratch};
 pub use kernel::{
     gemm, gemm_bias_relu, gram_block, gram_packed, pack_rows, simd_tier, sq_dist, sq_dist_batch,
-    sq_dist_with_tier, top_k_batch, ulp_diff, with_simd_tier, SimdTier,
+    sq_dist_with_tier, top_k_batch, transpose, ulp_diff, with_simd_tier, SimdTier,
 };
 pub use knn::{top_k, top_k_among, Neighbor};
 pub use lsh::{sample_planes, signature_of, signatures, LshConfig, LshIndex, MAX_SIGNATURE_BITS};
 pub use pca::Pca;
 pub use policy::{AnnPolicy, DEFAULT_ANN_THRESHOLD};
+pub use sparse::{sparse_gemm_bias_relu, SparseRows, SparseScratch};
 pub use tsne::{Tsne, TsneConfig};

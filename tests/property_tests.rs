@@ -156,6 +156,59 @@ proptest! {
         prop_assert_eq!(sigmoid(logit_p) >= 0.5, sigmoid(logit_a) >= 0.5);
     }
 
+    /// The sparse-input layer product equals the dense fused GEMM bit
+    /// for bit on every SIMD tier, whatever the shape and sparsity
+    /// pattern: widths straddle the 16/32-wide steps and the 64-slot
+    /// period, and rows range from all-zero to fully dense (negative
+    /// zeros included). Tiers the hardware lacks clamp to the best one.
+    #[test]
+    fn sparse_layer_bit_identical_to_dense_on_every_tier(
+        k in 1usize..200,
+        n in 1usize..70,
+        rows in 1usize..6,
+        density in 0.0f64..=1.0,
+        seed in any::<u64>(),
+        relu in any::<bool>(),
+    ) {
+        use battleship_em::vector::{
+            gemm_bias_relu, sparse_gemm_bias_relu, transpose, with_simd_tier, SimdTier,
+            SparseRows, SparseScratch,
+        };
+        let mut rng = Rng::seed_from_u64(seed);
+        let xs: Vec<f32> = (0..rows * k)
+            .map(|i| {
+                if rng.f64() < density {
+                    rng.normal() as f32
+                } else if i % 3 == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let wt: Vec<f32> = (0..k * n).map(|_| rng.normal() as f32).collect();
+        let bias: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+        let mut w = vec![0.0f32; k * n];
+        transpose(&wt, k, n, &mut w);
+        let mut sparse = SparseRows::new(k);
+        for row in xs.chunks(k) {
+            sparse.push_dense(row).unwrap();
+        }
+        for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+            let (dense, got) = with_simd_tier(tier, || {
+                let mut dense = vec![0.0f32; rows * n];
+                gemm_bias_relu(&xs, rows, &w, n, k, &bias, relu, &mut dense);
+                let mut got = vec![0.0f32; rows * n];
+                let mut scratch = SparseScratch::new();
+                sparse_gemm_bias_relu(&sparse, &wt, n, &bias, relu, &mut got, &mut scratch);
+                (dense, got)
+            });
+            for (a, b) in got.iter().zip(&dense) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "tier {}", tier.name());
+            }
+        }
+    }
+
     /// Connected components partition the node set, whatever the edges.
     #[test]
     fn components_partition(n in 1usize..40,
