@@ -5,7 +5,7 @@
 //! nearest-neighbour search and greedy vs min-cost-flow constrained
 //! assignment.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use em_cluster::constrained::AssignmentMode;
@@ -244,6 +244,54 @@ fn bench_matcher_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// One AdamW step over the matcher's 81,601 parameters (848 → 96 → 1)
+/// from a state in which every 20th first moment is subnormal: those
+/// parameters saw one gradient and then none until their moments
+/// decayed below 2⁻¹²⁶, like first-layer weights whose input features
+/// have not recurred. Each timed step starts from a clone of that
+/// state, so the subnormals do not decay away across iterations.
+fn bench_adamw_step(c: &mut Criterion) {
+    use em_matcher::AdamW;
+    let n = 848 * 96 + 96 + 96 + 1;
+    // With no gradient a first moment scales by β₁ = 0.9 (`AdamW::new`)
+    // per step. Count the steps until the moment `(1 − β₁)·g` of a
+    // one-off gradient `g` goes subnormal: the state is taken right
+    // there, before a further step could flush it.
+    let g = 1e-3f32;
+    let (mut m, mut quiet_steps) = ((1.0f32 - 0.9) * g, 0);
+    while m.is_normal() {
+        m *= 0.9;
+        quiet_steps += 1;
+    }
+    let mut rng = Rng::seed_from_u64(12);
+    let mut opt = AdamW::new(n, 8e-3, 1e-4).unwrap();
+    let mut params: Vec<f32> = (0..n).map(|_| rng.normal() as f32 * 0.05).collect();
+    let mask = vec![true; n];
+    let mut grads = vec![0.0f32; n];
+    for step in 0..=quiet_steps {
+        for (i, x) in grads.iter_mut().enumerate() {
+            *x = match (i % 20, step) {
+                (0, 0) => g,
+                (0, _) => 0.0,
+                _ => rng.normal() as f32 * 1e-3,
+            };
+        }
+        opt.step(&mut params, &grads, &mask).unwrap();
+    }
+    let mut group = c.benchmark_group("matcher");
+    group.bench_function("adamw_step_81k", |b| {
+        b.iter_batched(
+            || (opt.clone(), params.clone()),
+            |(mut opt, mut params)| {
+                opt.step(&mut params, black_box(&grads), &mask).unwrap();
+                (opt, params)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_kernel_tiers(c: &mut Criterion) {
     use em_vector::{gemm, kernel, simd_tier, with_simd_tier, SimdTier};
     let query = gaussian(1, 768, 8);
@@ -297,6 +345,7 @@ criterion_group!(
     bench_graph,
     bench_gmm,
     bench_matcher_step,
+    bench_adamw_step,
     bench_kernel_tiers
 );
 criterion_main!(benches);

@@ -52,9 +52,10 @@ pub struct ConstrainedConfig {
     /// Assignment solver.
     pub mode: AssignmentMode,
     /// Exact ↔ ANN routing for the greedy assignment step: pools larger
-    /// than `ann.threshold` shortlist candidate clusters through HNSW
-    /// over the centroids instead of materialising the `n × k` distance
-    /// matrix. Capacity bounds are enforced identically on both paths.
+    /// than `ann.threshold` with more than `ann.top_m` clusters shortlist
+    /// candidate clusters through HNSW over the centroids instead of
+    /// materialising the `n × k` distance matrix. Capacity bounds are
+    /// enforced identically on both paths.
     pub ann: AnnPolicy,
 }
 
@@ -119,6 +120,15 @@ impl ConstrainedConfig {
         }
         self.ann.validate()
     }
+
+    /// Whether the greedy assignment takes the HNSW shortlist route. A
+    /// shortlist of `top_m ≥ k` clusters would cover every cluster, so
+    /// those runs read the exact `n × k` matrix instead: same result,
+    /// without the per-point shortlist sort or the per-steal distance
+    /// recomputation.
+    fn shortlists(&self, n: usize) -> bool {
+        self.ann.use_ann(n) && self.k > self.ann.top_m
+    }
 }
 
 /// Run size-constrained K-Means.
@@ -150,7 +160,7 @@ pub fn constrained_kmeans(data: &Embeddings, config: ConstrainedConfig) -> Resul
 
     for _iter in 0..config.max_iters {
         let new_assignment = match config.mode {
-            AssignmentMode::Greedy if config.ann.use_ann(n) => {
+            AssignmentMode::Greedy if config.shortlists(n) => {
                 greedy_assign_ann(data, &centroids, k, config, &mut rng)?
             }
             AssignmentMode::Greedy => greedy_assign(data, &centroids, k, config, &mut rng)?,
@@ -237,7 +247,7 @@ pub fn greedy_assign_pass(
         )));
     }
     let mut rng = Rng::seed_from_u64(config.seed ^ 0xBADC_0FFE);
-    if config.ann.use_ann(n) {
+    if config.shortlists(n) {
         greedy_assign_ann(data, centroids.flat(), config.k, *config, &mut rng)
     } else {
         greedy_assign(data, centroids.flat(), config.k, *config, &mut rng)
@@ -355,13 +365,12 @@ fn greedy_assign(
 /// wants L2, so the index only nominates candidates). The assignment
 /// pass walks the shortlist; if every shortlisted cluster is at
 /// capacity it falls back to an on-demand scan of all `k` (validate
-/// guarantees a slot exists). The repair pass computes the two
-/// distances it needs per candidate move in `O(d)`, caching each
-/// point's assigned distance.
+/// guarantees a slot exists). The repair pass caches each point's
+/// assigned distance and the distance column of the cluster it is
+/// filling.
 ///
-/// When `k <= top_m` the shortlist covers every cluster in index order
-/// with exact distances and the same single RNG draw, so the result is
-/// bit-identical to [`greedy_assign`] (golden-tested below).
+/// Only reached when `k > top_m` ([`ConstrainedConfig::shortlists`]);
+/// a shortlist covering every cluster is the exact path.
 fn greedy_assign_ann(
     data: &Embeddings,
     centroids: &[f32],
@@ -382,27 +391,23 @@ fn greedy_assign_ann(
     // re-rank by exact L2 and keep `top_m` — the oversample absorbs the
     // cosine ↔ L2 ranking gap for unnormalised centroids.
     let fetch = top_m.saturating_mul(2).min(k);
-    let index = if k > top_m {
-        let cent = Embeddings::from_flat(dim, centroids.to_vec())?;
-        // The index holds only the k centroids — a small graph where
-        // the policy's record-scale beam (m 16, ef 64) would visit
-        // nearly every node and lose to a flat scan. Halve the degree
-        // and clamp the beam to the fetch size: nomination recall is
-        // protected by the 2× oversample, the exact re-rank and the
-        // repair pass, so a narrow beam costs SSE nothing measurable
-        // (gated ≤ 1.25× in the ann bench; measured ≈ 1.0005×).
-        let base = config.ann.hnsw_seeded(config.seed ^ 0xCE_A551);
-        let m = base.m.div_ceil(2).max(2);
-        let hnsw_cfg = HnswConfig {
-            m,
-            ef_construction: base.ef_construction.max(m),
-            ef_search: fetch.max(8),
-            ..base
-        };
-        Some(Hnsw::build(&cent, hnsw_cfg)?)
-    } else {
-        None
+    let cent = Embeddings::from_flat(dim, centroids.to_vec())?;
+    // The index holds only the k centroids — a small graph where the
+    // policy's record-scale beam (m 16, ef 64) would visit nearly every
+    // node and lose to a flat scan. Halve the degree and clamp the beam
+    // to the fetch size: nomination recall is protected by the 2×
+    // oversample, the exact re-rank and the repair pass, so a narrow
+    // beam costs SSE nothing measurable (gated ≤ 1.25× in the ann bench;
+    // measured ≈ 1.0005×).
+    let base = config.ann.hnsw_seeded(config.seed ^ 0xCE_A551);
+    let m = base.m.div_ceil(2).max(2);
+    let hnsw_cfg = HnswConfig {
+        m,
+        ef_construction: base.ef_construction.max(m),
+        ef_search: fetch.max(8),
+        ..base
     };
+    let index = Hnsw::build(&cent, hnsw_cfg)?;
     // Chunked so each worker reuses one HNSW scratch and one set of
     // candidate buffers across its whole chunk (same precedent as the
     // blocking tier's probe loop) — per-point allocations would
@@ -423,22 +428,19 @@ fn greedy_assign_ann(
             let mut order: Vec<usize> = Vec::new();
             for i in lo..hi {
                 cands.clear();
-                match &index {
-                    Some(index) => cands.extend(
-                        index
-                            .search_with(data.row(i), fetch, None, &mut scratch)?
-                            .iter()
-                            .map(|nb| nb.index as u32),
-                    ),
-                    None => cands.extend(0..k as u32),
-                }
+                cands.extend(
+                    index
+                        .search_with(data.row(i), fetch, None, &mut scratch)?
+                        .iter()
+                        .map(|nb| nb.index as u32),
+                );
                 if cands.is_empty() {
                     cands.extend(0..k as u32);
                 }
                 dists.clear();
                 dists.extend(cands.iter().map(|&c| cdist(i, c as usize)));
-                // Stable insertion order is index order for the dense
-                // case; sort both arrays together by distance.
+                // Sort both arrays together by distance, index breaking
+                // ties.
                 order.clear();
                 order.extend(0..cands.len());
                 order.sort_by(|&a, &b| {
@@ -460,8 +462,7 @@ fn greedy_assign_ann(
         shortlists.extend(chunk?);
     }
 
-    // Regret over the shortlist (exact regret when the shortlist is the
-    // full cluster set).
+    // Regret over the shortlist.
     let mut order: Vec<usize> = (0..n).collect();
     let regret: Vec<f32> = shortlists
         .par_iter()
@@ -512,29 +513,36 @@ fn greedy_assign_ann(
         sizes[best_c] += 1;
     }
 
-    // Min-size repair, identical move rule to the exact path; distances
-    // to the under-filled cluster are computed on demand.
+    // Min-size repair, identical move rule to the exact path. Centroids
+    // are fixed within the pass, so the under-filled cluster's distance
+    // column is computed once and read by every steal that fills it.
+    let mut column: Vec<f32> = Vec::with_capacity(n);
+    let mut column_of = usize::MAX;
     while let Some(under) = (0..k).find(|&c| sizes[c] < config.min_size) {
-        let mut best: Option<(usize, f32, f32)> = None; // (point, added, d_under)
+        if column_of != under {
+            column.clear();
+            column.extend((0..n).map(|i| cdist(i, under)));
+            column_of = under;
+        }
+        let mut best: Option<(usize, f32)> = None; // (point, added cost)
         for i in 0..n {
             let cur = assignment[i];
             if cur == under || sizes[cur] <= config.min_size {
                 continue;
             }
-            let d_under = cdist(i, under);
-            let added = d_under - assigned_d[i];
-            if best.map(|(_, a, _)| added < a).unwrap_or(true) {
-                best = Some((i, added, d_under));
+            let added = column[i] - assigned_d[i];
+            if best.map(|(_, a)| added < a).unwrap_or(true) {
+                best = Some((i, added));
             }
         }
-        let Some((steal, _, d_under)) = best else {
+        let Some((steal, _)) = best else {
             return Err(EmError::NoSolution(
                 "min-size repair found no donor cluster".into(),
             ));
         };
         sizes[assignment[steal]] -= 1;
         assignment[steal] = under;
-        assigned_d[steal] = d_under;
+        assigned_d[steal] = column[steal];
         sizes[under] += 1;
     }
 
@@ -818,34 +826,75 @@ mod tests {
         assert_eq!(res.sizes.iter().sum::<usize>(), 20);
     }
 
-    /// Golden: when the shortlist covers every cluster (`k <= top_m`),
-    /// the ANN-routed path is bit-identical to the exact dense path —
-    /// same assignment, same SSE bits, same RNG stream consumption
-    /// across Lloyd iterations.
+    /// Golden for the shortlist route (`k > top_m`): uneven blobs force
+    /// the min-size repair to move points, both in one greedy pass and
+    /// across the Lloyd loop. The digests were taken from the repair that
+    /// recomputed each under-filled cluster's distances per steal;
+    /// caching that column must not move a bit.
     #[test]
-    fn ann_path_bit_identical_when_shortlist_covers_all_clusters() {
-        let data = blobs(30, &[[0.0, 0.0], [6.0, 0.0], [3.0, 5.0]], 0.8, 31);
-        let base = ConstrainedConfig {
-            k: 3,
-            min_size: 20,
-            max_size: 40,
-            max_iters: 12,
-            seed: 33,
-            mode: AssignmentMode::Greedy,
-            ann: AnnPolicy::never(),
+    fn shortlist_repair_matches_pinned_digest_when_k_exceeds_top_m() {
+        let digest = |assignment: &[usize]| {
+            let bytes: Vec<u8> = assignment
+                .iter()
+                .flat_map(|&c| (c as u32).to_le_bytes())
+                .collect();
+            em_core::codec::fnv1a64(&bytes)
         };
-        let exact = constrained_kmeans(&data, base).unwrap();
-        let ann = constrained_kmeans(
-            &data,
-            ConstrainedConfig {
-                ann: AnnPolicy::always(), // top_m 16 >= k 3: full shortlist
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(exact.assignment, ann.assignment);
-        assert_eq!(exact.sse.to_bits(), ann.sse.to_bits());
-        assert_eq!(exact.sizes, ann.sizes);
+        em_vector::with_simd_tier(em_vector::SimdTier::Portable, || {
+            rayon::serial_scope(|| {
+                let mut rng = Rng::seed_from_u64(51);
+                let dim = 8;
+                let mut rows = Vec::new();
+                for c in 0..24 {
+                    let center: Vec<f32> = (0..dim).map(|_| rng.normal() as f32 * 4.0).collect();
+                    for _ in 0..2 + 3 * (c % 7) {
+                        rows.push(
+                            center
+                                .iter()
+                                .map(|&x| x + rng.normal() as f32 * 0.7)
+                                .collect::<Vec<f32>>(),
+                        );
+                    }
+                }
+                let data = Embeddings::from_rows(&rows).unwrap();
+                let mut ann = AnnPolicy::always();
+                ann.top_m = 4;
+                let cfg = ConstrainedConfig {
+                    k: 24,
+                    min_size: 8,
+                    max_size: 16,
+                    max_iters: 10,
+                    seed: 53,
+                    mode: AssignmentMode::Greedy,
+                    ann,
+                };
+                let full = constrained_kmeans(&data, cfg).unwrap();
+                check_bounds(&full, 8, 16);
+
+                let init = kmeans(
+                    &data,
+                    KMeansConfig {
+                        k: 24,
+                        max_iters: 5,
+                        tol: 1e-4,
+                        seed: 53,
+                    },
+                )
+                .unwrap();
+                let pass = greedy_assign_pass(&data, &init.centroids, &cfg).unwrap();
+                let unrepaired = greedy_assign_pass(
+                    &data,
+                    &init.centroids,
+                    &ConstrainedConfig { min_size: 0, ..cfg },
+                )
+                .unwrap();
+                let moved = pass.iter().zip(&unrepaired).filter(|(a, b)| a != b).count();
+                assert_eq!(moved, 37, "the repair pass must move points");
+                assert_eq!(digest(&pass), 0xac24_2101_8c44_9996);
+                assert_eq!(digest(&full.assignment), 0x6f9c_442b_9ab5_c3f3);
+                assert_eq!(full.sse.to_bits(), 0x4512_e715);
+            })
+        });
     }
 
     /// Golden: below the policy threshold the `ann` field is inert —

@@ -54,8 +54,8 @@ pub struct AnnPolicy {
     /// HNSW construction/search parameters for routed stages.
     pub hnsw: HnswConfig,
     /// Shortlist width for ANN-assisted assignment (candidate clusters
-    /// per point). When `top_m >= k` the shortlist covers every cluster
-    /// and the ANN path reproduces the exact one bit-for-bit.
+    /// per point). When `top_m >= k` a shortlist would cover every
+    /// cluster, so the assignment takes the exact path instead.
     pub top_m: usize,
     /// Cap on reference subsamples indexed by ANN estimators.
     pub sample_cap: usize,
