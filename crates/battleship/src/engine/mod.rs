@@ -12,12 +12,11 @@
 //!   [`DatasetArtifacts`] across runs via `Arc`,
 //! * [`ExperimentGrid`] expands scenarios × strategies × derived seeds
 //!   into independent [`RunSpec`]s (plus optional ZeroER / Full D
-//!   baseline cells) and fans them out over rayon under a measured
-//!   cost model — [`schedule`] estimates each cell's cost from the
-//!   committed probe table and packs cells onto workers with LPT
-//!   (longest-processing-time-first) list scheduling — each worker
-//!   building a fresh `Send` strategy from its [`StrategySpec`] and
-//!   running the protocol loop in [`worker`],
+//!   baseline cells) and fans them out over the rayon pool in expansion
+//!   order — threads claim the next cell as they finish one, so uneven
+//!   cells balance without a cost model — each building a fresh `Send`
+//!   strategy from its [`StrategySpec`] and running the protocol loop in
+//!   [`worker`],
 //! * results are reassembled in the grid's fixed expansion order into a
 //!   [`GridReport`] whose non-timing content is **bit-identical for any
 //!   worker-thread count** (each run is a pure function of its spec, and
@@ -30,13 +29,11 @@
 
 pub mod artifacts;
 pub mod scenario;
-pub mod schedule;
 pub mod spec;
 pub mod worker;
 
 pub use artifacts::{ArtifactCache, DatasetArtifacts};
 pub use scenario::{CandidatePool, Scenario, ScenarioSource};
-pub use schedule::{cost_weight, lpt_assign, lpt_start_offsets, CostModel, ScheduleMode};
 pub use spec::{CellKind, RunSpec};
 
 use std::collections::BTreeMap;
@@ -50,10 +47,6 @@ use em_core::{EmError, Result};
 use crate::config::GridConfig;
 use crate::report::{GridCell, GridReport, RunReport};
 use crate::strategies::StrategySpec;
-
-/// One scheduler bin's results: `(expansion slot, cell outcome)` pairs,
-/// scattered back into expansion order after the fan-out.
-type BinRuns = Vec<(usize, Result<(RunReport, f64)>)>;
 
 /// A full experiment grid: which datasets, which strategies, and the
 /// shared configuration every cell runs under.
@@ -128,25 +121,14 @@ impl ExperimentGrid {
 
     /// Run the whole grid, reusing (and populating) `cache` for dataset
     /// artifacts — the entry point for sweeps that re-run the same
-    /// scenarios under different configurations. Schedules under the
-    /// default cost-model LPT ([`ScheduleMode::CostLpt`]).
-    pub fn run_with_cache(&self, cache: &ArtifactCache) -> Result<GridReport> {
-        self.run_with_cache_scheduled(cache, ScheduleMode::default())
-    }
-
-    /// Run the whole grid under an explicit [`ScheduleMode`].
+    /// scenarios under different configurations.
     ///
-    /// The mode decides only *which worker runs which cell when*; every
-    /// run is a pure function of its spec and results are always
+    /// Every run is a pure function of its spec and results are
     /// reassembled in expansion order, so the canonical [`GridReport`]
-    /// is bit-identical across modes and thread counts (pinned by the
-    /// golden tests below). When several cells fail, the error of the
-    /// earliest expansion slot is reported — also mode-invariant.
-    pub fn run_with_cache_scheduled(
-        &self,
-        cache: &ArtifactCache,
-        mode: ScheduleMode,
-    ) -> Result<GridReport> {
+    /// is bit-identical across thread counts (pinned by the golden tests
+    /// below). When several cells fail, the error of the earliest
+    /// expansion slot is reported.
+    pub fn run_with_cache(&self, cache: &ArtifactCache) -> Result<GridReport> {
         self.validate()?;
         // em-lint: allow(wall-clock) -- fills GridReport.wall_secs; canonical() zeroes it
         let t0 = Instant::now();
@@ -163,70 +145,18 @@ impl ExperimentGrid {
             artifacts.insert(scenario.name().to_string(), result?);
         }
 
-        // Phase 2: fan independent runs out over worker threads under
-        // the requested schedule, then scatter outcomes back into
-        // expansion-order slots.
+        // Phase 2: fan independent runs out over the pool.
         let specs = self.expand();
-        let run_spec = |s: &RunSpec| {
-            let art = artifacts
-                .get(s.scenario.as_str())
-                .expect("scenario materialized in phase 1");
-            worker::execute_spec(s, art, &self.config.experiment)
-        };
-        let mut outcomes: Vec<Option<Result<(RunReport, f64)>>> =
-            specs.iter().map(|_| None).collect();
-        match mode {
-            ScheduleMode::CostLpt => {
-                // Estimate each cell's cost (probe-table strategy weight
-                // × pair-count factor) and pack cells onto one bin per
-                // worker with LPT. The vendored rayon shim partitions a
-                // par_iter into contiguous per-thread chunks, so a
-                // bins-length fan-out puts exactly one bin on each
-                // worker; within a bin, cells run serially in
-                // descending-cost placement order.
-                let model = CostModel;
-                let costs: Vec<f64> = specs
-                    .iter()
-                    .map(|s| {
-                        let pairs = artifacts
-                            .get(s.scenario.as_str())
-                            .expect("scenario materialized in phase 1")
-                            .dataset
-                            .len();
-                        model.cost_of(s.kind, pairs)
-                    })
-                    .collect();
-                let n_bins = if rayon::in_serial_mode() {
-                    1
-                } else {
-                    rayon::current_num_threads()
-                };
-                let bins = schedule::lpt_assign(&costs, n_bins);
-                let per_bin: Vec<BinRuns> = bins
-                    .par_iter()
-                    .map(|bin| bin.iter().map(|&i| (i, run_spec(&specs[i]))).collect())
-                    .collect();
-                for bin in per_bin {
-                    for (slot, outcome) in bin {
-                        outcomes[slot] = Some(outcome);
-                    }
-                }
-            }
-            ScheduleMode::SeedInterleave => {
-                // The pre-cost-model baseline: execute in the seed-major
-                // interleave so contiguous chunks mix strategies.
-                let order = spec::execution_order(&specs);
-                let ran: Vec<Result<(RunReport, f64)>> =
-                    order.par_iter().map(|&i| run_spec(&specs[i])).collect();
-                for (&slot, outcome) in order.iter().zip(ran) {
-                    outcomes[slot] = Some(outcome);
-                }
-            }
-        }
-        let mut results: Vec<Option<(RunReport, f64)>> = Vec::with_capacity(specs.len());
-        for outcome in outcomes {
-            results.push(Some(outcome.expect("every spec scheduled exactly once")?));
-        }
+        let outcomes: Vec<Result<(RunReport, f64)>> = specs
+            .par_iter()
+            .map(|s| {
+                let art = artifacts
+                    .get(s.scenario.as_str())
+                    .expect("scenario materialized in phase 1");
+                worker::execute_spec(s, art, &self.config.experiment)
+            })
+            .collect();
+        let results = outcomes.into_iter().collect::<Result<Vec<_>>>()?;
 
         // Phase 3: aggregate consecutive same-cell specs, in expansion
         // order — the fixed merge that makes the report deterministic.
@@ -241,14 +171,8 @@ impl ExperimentGrid {
             {
                 j += 1;
             }
-            let cell_runs: Vec<RunReport> = results[i..j]
-                .iter()
-                .map(|r| r.as_ref().expect("slot filled").0.clone())
-                .collect();
-            let secs: Vec<f64> = results[i..j]
-                .iter()
-                .map(|r| r.as_ref().expect("slot filled").1)
-                .collect();
+            let cell_runs: Vec<RunReport> = results[i..j].iter().map(|r| r.0.clone()).collect();
+            let secs: Vec<f64> = results[i..j].iter().map(|r| r.1).collect();
             cells.push(GridCell::from_runs(&cell_runs, &secs)?);
             runs.extend(cell_runs);
             i = j;
@@ -390,29 +314,6 @@ mod tests {
         assert_eq!(
             parallel.canonical().to_json().unwrap(),
             serial.canonical().to_json().unwrap()
-        );
-    }
-
-    /// Golden: the cost-model LPT schedule and the legacy seed-major
-    /// interleave produce bit-identical canonical reports — scheduling
-    /// decides only placement, never content.
-    #[test]
-    fn grid_report_is_schedule_mode_invariant() {
-        let grid = quick_grid(
-            vec![StrategySpec::Random, StrategySpec::Battleship],
-            2,
-            true,
-        );
-        let cache = ArtifactCache::new();
-        let lpt = grid
-            .run_with_cache_scheduled(&cache, ScheduleMode::CostLpt)
-            .unwrap();
-        let interleave = grid
-            .run_with_cache_scheduled(&cache, ScheduleMode::SeedInterleave)
-            .unwrap();
-        assert_eq!(
-            lpt.canonical().to_json().unwrap(),
-            interleave.canonical().to_json().unwrap()
         );
     }
 

@@ -3,10 +3,9 @@
 //! Expansion order is the *reporting* contract: cells appear
 //! scenario-major (Table 3 order as given), strategies in the grid's
 //! order, baselines after the strategies of their scenario, seeds in
-//! derivation order. The scheduler may execute specs in any permutation
-//! (see [`execution_order`]) but always reassembles results in expansion
-//! order, which is what makes grid reports deterministic under any
-//! worker-thread count.
+//! derivation order. Specs may finish in any order, but results are
+//! always reassembled in expansion order, which is what makes grid
+//! reports deterministic under any worker-thread count.
 
 use serde::{Deserialize, Serialize};
 
@@ -75,8 +74,7 @@ pub struct RunSpec {
     pub kind: CellKind,
     /// The run's derived seed (drives every random decision of the run).
     pub seed: u64,
-    /// Position of `seed` in the grid's seed stream; the scheduler's
-    /// interleaving key.
+    /// Position of `seed` in the grid's seed stream.
     pub seed_index: usize,
 }
 
@@ -118,22 +116,6 @@ pub fn expand(
         }
     }
     specs
-}
-
-/// The order specs are *executed* in: a seed-major interleave of the
-/// expansion order.
-///
-/// The vendored rayon executor partitions work into contiguous index
-/// ranges per thread, so executing in expansion order would hand one
-/// thread all seeds of the most expensive strategy (DIAL trains a
-/// committee per iteration) and make it the makespan. Interleaving by
-/// seed index mixes strategies within every contiguous chunk. The
-/// permutation is a pure function of the spec list — scheduling stays
-/// deterministic — and results are always restored to expansion order.
-pub fn execution_order(specs: &[RunSpec]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..specs.len()).collect();
-    order.sort_by_key(|&i| (specs[i].seed_index, i));
-    order
 }
 
 #[cfg(test)]
@@ -188,32 +170,6 @@ mod tests {
         let specs = expand(&names, &[StrategySpec::Random], &config);
         assert_eq!(specs.len(), 2); // baselines only
         assert!(specs.iter().all(|s| s.seed == config.master_seed));
-    }
-
-    #[test]
-    fn execution_order_interleaves_by_seed_index() {
-        let names = vec!["a".to_string()];
-        let strategies = [
-            StrategySpec::Battleship,
-            StrategySpec::Dal,
-            StrategySpec::Dial,
-            StrategySpec::Random,
-        ];
-        let specs = expand(&names, &strategies, &grid_config(3, false));
-        let order = execution_order(&specs);
-        // A permutation…
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).collect::<Vec<_>>());
-        // …whose first block covers all four strategies at seed 0.
-        let first_four: Vec<CellKind> = order[..4].iter().map(|&i| specs[i].kind).collect();
-        assert_eq!(
-            first_four,
-            strategies.map(CellKind::Active).to_vec(),
-            "seed-0 specs must come first, in strategy order"
-        );
-        assert!(order[..4].iter().all(|&i| specs[i].seed_index == 0));
-        assert!(order[4..8].iter().all(|&i| specs[i].seed_index == 1));
     }
 
     #[test]

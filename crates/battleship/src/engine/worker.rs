@@ -392,7 +392,7 @@ pub(crate) fn execute_spec(
     artifacts: &DatasetArtifacts,
     config: &ExperimentConfig,
 ) -> Result<(RunReport, f64)> {
-    // em-lint: allow(wall-clock) -- cell wall-clock for the engine's LPT accounting; canonical() zeroes it
+    // em-lint: allow(wall-clock) -- per-cell wall-clock in the grid report; canonical() zeroes it
     let t0 = Instant::now();
     let report = match spec.kind {
         CellKind::Active(strategy_spec) => {

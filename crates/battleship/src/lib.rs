@@ -84,8 +84,8 @@ pub use config::{
     ALConfig, BattleshipParams, CentralityMeasure, ExperimentConfig, GridConfig, WeakMethod,
 };
 pub use engine::{
-    cost_weight, lpt_assign, lpt_start_offsets, ArtifactCache, CandidatePool, CellKind, CostModel,
-    DatasetArtifacts, ExperimentGrid, RunSpec, Scenario, ScenarioSource, ScheduleMode,
+    ArtifactCache, CandidatePool, CellKind, DatasetArtifacts, ExperimentGrid, RunSpec, Scenario,
+    ScenarioSource,
 };
 pub use report::{GridCell, GridReport, IterationRecord, MultiSeedReport, RunReport};
 pub use runner::{run_active_learning, run_closed_loop, ActiveLearningRun};

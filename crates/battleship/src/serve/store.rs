@@ -770,14 +770,10 @@ impl SessionStore {
     /// Each session's step is a pure function of its own state (its own
     /// rng, pool, matcher), so the fan-out is deterministic per session
     /// and bit-identical to stepping the same sessions serially — the
-    /// serve bench's golden check pins this. Dispatch order comes from
-    /// the engine's [`CostModel`](crate::engine::CostModel): sessions
-    /// are packed onto workers with LPT so the heaviest (DIAL on the
-    /// biggest dataset) start first instead of queueing behind cheap
-    /// ones. Returns `(id, new phase)` in id order for the sessions
-    /// that were stepped. A session that panics mid-step poisons only
-    /// its own lock; the next operation on it heals it from its last
-    /// checkpoint.
+    /// serve bench's golden check pins this. Returns `(id, new phase)`
+    /// in id order for the sessions that were stepped. A session that
+    /// panics mid-step poisons only its own lock; the next operation on
+    /// it heals it from its last checkpoint.
     pub fn step_ready_sessions(&self) -> Result<Vec<(String, SessionPhase)>> {
         // The map lock is held only to clone the resident (id, Arc)
         // list — never across a cell lock, so a session mid-training
@@ -791,67 +787,25 @@ impl SessionStore {
                 .map(|(id, cell)| (id.clone(), cell.clone()))
                 .collect()
         };
-        // Estimate each session's step cost for dispatch ordering only —
-        // a snapshot via try_lock (a busy or poisoned cell gets the
-        // default weight; it would be skipped or healed below anyway).
-        // The estimate never changes *what* runs, so a stale cost can
-        // delay a session's start but never its result.
-        let model = crate::engine::CostModel;
-        let costs: Vec<f64> = resident
-            .iter()
-            .map(|(_, cell)| match cell.try_lock() {
-                Ok(guard) => model.cost_of_named(
-                    &guard.session.strategy_name(),
-                    guard.artifacts.dataset.len(),
-                ),
-                Err(_) => 1.0,
-            })
-            .collect();
-        let n_bins = if rayon::in_serial_mode() {
-            1
-        } else {
-            rayon::current_num_threads()
-        };
-        let bins = crate::engine::lpt_assign(&costs, n_bins);
-        let step_one = |idx: usize| -> StepOutcome {
-            let (id, cell) = &resident[idx];
-            let mut cell = match cell.lock() {
-                Ok(cell) => cell,
-                // A previous step panicked on this session: skip it
-                // this round; the serial pass below heals it.
-                Err(_) => return Ok(None),
-            };
-            if cell.detached
-                || !matches!(
-                    cell.session.phase(),
-                    SessionPhase::SeedDraw | SessionPhase::Training
-                )
-            {
-                return Ok(None);
-            }
-            let phase = cell.session.advance()?;
-            Ok(Some((id.clone(), phase)))
-        };
-        // One bin per worker (the shim's contiguous partitioning maps a
-        // bins-length fan-out 1:1); within a bin, heaviest first.
-        let per_bin: Vec<Vec<(usize, StepOutcome)>> = bins
+        let outcomes: Vec<StepOutcome> = resident
             .par_iter()
-            .map(|bin| bin.iter().map(|&idx| (idx, step_one(idx))).collect())
-            .collect();
-        let mut outcomes: Vec<Option<StepOutcome>> = resident.iter().map(|_| None).collect();
-        for bin in per_bin {
-            for (idx, outcome) in bin {
-                outcomes[idx] = Some(outcome);
-            }
-        }
-        let outcomes: Vec<StepOutcome> = outcomes
-            .into_iter()
-            .map(|o| {
-                o.unwrap_or_else(|| {
-                    Err(EmError::Internal(
-                        "scheduler bins missed a resident session".to_string(),
-                    ))
-                })
+            .map(|(id, cell)| {
+                let mut cell = match cell.lock() {
+                    Ok(cell) => cell,
+                    // A previous step panicked on this session: skip it
+                    // this round; the serial pass below heals it.
+                    Err(_) => return Ok(None),
+                };
+                if cell.detached
+                    || !matches!(
+                        cell.session.phase(),
+                        SessionPhase::SeedDraw | SessionPhase::Training
+                    )
+                {
+                    return Ok(None);
+                }
+                let phase = cell.session.advance()?;
+                Ok(Some((id.clone(), phase)))
             })
             .collect();
         // Heal any poisoned sessions found during the fan-out (serially,

@@ -12,26 +12,21 @@
 //! serial strategy loop pinned to one core under `rayon::serial_scope`
 //! (the same pinning precedent as the matcher bench): one run at a
 //! time, no parallelism anywhere — the legacy `compare_strategies`
-//! shape on a single core. The unpinned serial loop (inner kernels
-//! free to fan out) is measured and reported alongside on multi-thread
-//! hosts. The gate is thread-aware, since fan-out can only pay on a
+//! shape on a single core. The gate is thread-aware, since fan-out can only pay on a
 //! multi-core host: **≥ 2.5× with ≥ 4 worker threads**, a softer
 //! ≥ 1.2× with 2–3 threads, and a ≥ 0.9× no-regression bound on one
 //! thread (where parallel ≡ serial and only scheduler overhead could
 //! lose time). Results are written to `BENCH_engine.json` for CI
 //! artifacts.
 //!
-//! A second A/B isolates the scheduler itself: the same grid fan-out
-//! under the legacy seed-major interleave placement versus the
-//! cost-model LPT placement (`ScheduleMode`). The grid is DIAL-skewed
-//! by construction — `StrategySpec::all()` includes DIAL, whose cells
-//! cost ~3× the average per the committed probe table — which is
-//! exactly the shape where interleave strands a worker behind the heavy
-//! cells. The LPT gate is thread-aware too: **≥ 1.3× with ≥ 4 worker
-//! threads** (the issue's bar), and a ≥ 0.95× no-regression bound below
-//! that (with few or one worker there is nothing to balance, so LPT
-//! must merely not lose time to the cost model). A golden check first
-//! pins that both modes produce the bit-identical canonical report.
+//! A second, paired comparison measures the executor itself: the same
+//! serial strategy loop with the inner kernels free to use the rayon
+//! pool versus pinned to one core. Samples alternate (order swapped
+//! every pair) and the gate is the median of the per-pair ratios, which
+//! cancels drift slower than one pair: **inner parallelism must be at
+//! least as fast as one core (≥ 1.0×) with ≥ 2 worker threads**. With
+//! one thread the two loops are the same code path and there is nothing
+//! to gate.
 //!
 //! Knobs (environment):
 //! * `EM_BENCH_ENGINE_SCALE` — dataset scale factor (default 0.1);
@@ -40,15 +35,13 @@
 //!   `BENCH_engine.json`);
 //! * `EM_BENCH_ENGINE_MIN_SPEEDUP` — override the thread-aware gate
 //!   (set 0 to only report);
-//! * `EM_BENCH_ENGINE_LPT_MIN_SPEEDUP` — override the LPT-vs-interleave
-//!   gate (set 0 to only report);
-//! * `RAYON_NUM_THREADS` — worker threads for the grid fan-out.
+//! * `RAYON_NUM_THREADS` — threads of the rayon pool.
 
 use std::io::Write as _;
 
 use battleship::{
     run_active_learning, ArtifactCache, ExperimentGrid, GridConfig, RunReport, Scenario,
-    ScheduleMode, StrategySpec,
+    StrategySpec,
 };
 use em_bench::env_or;
 use em_core::PerfectOracle;
@@ -155,85 +148,59 @@ fn main() {
         serial_report.canonical().to_json().expect("json"),
         "grid report depends on worker-thread count"
     );
-    // Golden check 3: canonical report bit-identical across schedule
-    // modes — LPT may only move work between workers, never change it.
-    eprintln!("[engine] golden check: cost-LPT placement ≡ seed-interleave placement …");
-    let interleave_report = grid
-        .run_with_cache_scheduled(&cache, ScheduleMode::SeedInterleave)
-        .expect("interleave grid");
-    assert_eq!(
-        grid_report.canonical().to_json().expect("json"),
-        interleave_report.canonical().to_json().expect("json"),
-        "grid report depends on the schedule mode"
-    );
     eprintln!("[engine] golden checks passed");
 
-    // Timing: the serial strategy loop pinned to one core (the gate's
-    // baseline — one run at a time, nothing parallel anywhere) …
-    eprintln!("[engine] timing serial strategy loop (one core) …");
-    let serial = rayon::serial_scope(|| criterion::measure(3, serial_loop));
-    eprintln!("[engine] serial loop (1 core): {:.3} s", serial.median_secs);
-
-    // … the same loop with the inner kernels free to use the machine
-    // (what the legacy example actually did on a multi-core host) …
+    // Timing: the serial strategy loop pinned to one core (the fan-out
+    // gate's baseline — one run at a time, nothing parallel anywhere)
+    // against the same loop with the inner kernels on the pool (what the
+    // legacy example actually did on a multi-core host), in alternating
+    // pairs.
     let threads = rayon::current_num_threads();
-    let serial_inner_parallel = if threads > 1 {
-        eprintln!("[engine] timing serial strategy loop (inner kernels parallel) …");
-        let s = criterion::measure(3, serial_loop);
-        eprintln!(
-            "[engine] serial loop (inner parallel): {:.3} s",
-            s.median_secs
-        );
-        s.median_secs
-    } else {
-        serial.median_secs
-    };
-
-    // … versus the engine's grid fan-out over the same runs (the
-    // default cost-LPT placement) …
-    eprintln!("[engine] timing parallel grid engine (cost-LPT placement) …");
-    let parallel = criterion::measure(3, || grid.run_with_cache(&cache).expect("grid run"));
-    eprintln!("[engine] grid engine: {:.3} s", parallel.median_secs);
-
-    // … and the scheduler A/B: the same fan-out under the legacy
-    // seed-major interleave placement. Placement is the *only*
-    // difference, so the effect can be smaller than this machine's
-    // slow thermal/VM drift across a multi-second bench — sample the
-    // two modes in alternating pairs (order swapped every pair) and
-    // take the median of the per-pair ratios, which cancels any drift
-    // slower than one pair.
-    eprintln!("[engine] timing LPT vs seed-interleave placement (paired samples) …");
-    let time_mode = |mode: ScheduleMode| {
-        criterion::measure(1, || {
-            grid.run_with_cache_scheduled(&cache, mode)
-                .expect("grid run")
-        })
-        .median_secs
-    };
-    let mut lpt_samples = Vec::new();
-    let mut interleave_samples = Vec::new();
-    let mut ratios = Vec::new();
-    for pair in 0..3 {
-        let (l, i) = if pair % 2 == 0 {
-            let l = time_mode(ScheduleMode::CostLpt);
-            (l, time_mode(ScheduleMode::SeedInterleave))
+    let time_loop = |one_core: bool| {
+        let measure = || criterion::measure(1, serial_loop).median_secs;
+        if one_core {
+            rayon::serial_scope(measure)
         } else {
-            let i = time_mode(ScheduleMode::SeedInterleave);
-            (time_mode(ScheduleMode::CostLpt), i)
+            measure()
+        }
+    };
+    let mut one_core_samples = Vec::new();
+    let mut inner_samples = Vec::new();
+    let mut ratios = Vec::new();
+    eprintln!("[engine] timing serial strategy loop: one core vs inner parallel (paired) …");
+    for pair in 0..5 {
+        let (one, inner) = if pair % 2 == 0 {
+            let one = time_loop(true);
+            (one, time_loop(false))
+        } else {
+            let inner = time_loop(false);
+            (time_loop(true), inner)
         };
-        eprintln!("[engine]   pair {pair}: lpt {l:.3} s, interleave {i:.3} s");
-        ratios.push(i / l.max(1e-12));
-        lpt_samples.push(l);
-        interleave_samples.push(i);
+        eprintln!("[engine]   pair {pair}: one core {one:.3} s, inner parallel {inner:.3} s");
+        ratios.push(one / inner.max(1e-12));
+        one_core_samples.push(one);
+        inner_samples.push(inner);
     }
     let median = |xs: &mut Vec<f64>| {
         xs.sort_by(|a, b| a.total_cmp(b));
         xs[xs.len() / 2]
     };
-    let lpt_median = median(&mut lpt_samples);
-    let interleave_median = median(&mut interleave_samples);
+    let serial_one_core = median(&mut one_core_samples);
+    let serial_inner_parallel = median(&mut inner_samples);
+    let inner_speedup = median(&mut ratios);
+    // At one thread both loops are the same code path: nothing to gate.
+    let inner_min_speedup = if threads >= 2 { 1.0 } else { 0.0 };
+    eprintln!(
+        "[engine] inner parallel vs one core: {inner_speedup:.2}× (median paired ratio) with \
+         {threads} thread(s) (gate: ≥ {inner_min_speedup:.1}×)"
+    );
 
-    let speedup = serial.median_secs / parallel.median_secs.max(1e-12);
+    // … and the engine's grid fan-out over the same runs.
+    eprintln!("[engine] timing parallel grid engine …");
+    let parallel = criterion::measure(3, || grid.run_with_cache(&cache).expect("grid run"));
+    eprintln!("[engine] grid engine: {:.3} s", parallel.median_secs);
+
+    let speedup = serial_one_core / parallel.median_secs.max(1e-12);
     let min_speedup: f64 = env_or(
         "EM_BENCH_ENGINE_MIN_SPEEDUP",
         if threads >= 4 {
@@ -248,21 +215,6 @@ fn main() {
         "[engine] speedup: {speedup:.2}× with {threads} thread(s) (gate: ≥ {min_speedup:.1}×)"
     );
 
-    let lpt_speedup = median(&mut ratios);
-    // ≥ 4 workers: the issue's bar — LPT must actually balance the
-    // DIAL skew. Below that there is nothing to balance (at one worker
-    // the two modes run identical work in a different order), so the
-    // gate is a no-regression bound with headroom for paired-sample
-    // noise on shared hosts.
-    let lpt_min_speedup: f64 = env_or(
-        "EM_BENCH_ENGINE_LPT_MIN_SPEEDUP",
-        if threads >= 4 { 1.3 } else { 0.9 },
-    );
-    eprintln!(
-        "[engine] LPT vs interleave: {lpt_speedup:.2}× (median paired ratio) with {threads} \
-         thread(s) (gate: ≥ {lpt_min_speedup:.2}×)"
-    );
-
     let battleship_final = grid_report
         .cell(grid.scenarios[0].name(), "battleship")
         .and_then(|c| c.aggregate.final_f1())
@@ -273,9 +225,9 @@ fn main() {
          \"iterations\": {},\n  \"budget\": {},\n  \"threads\": {threads},\n  \
          \"serial_one_core_median_secs\": {:.6},\n  \
          \"serial_inner_parallel_median_secs\": {:.6},\n  \"grid_median_secs\": {:.6},\n  \
-         \"lpt_paired_median_secs\": {:.6},\n  \"interleave_paired_median_secs\": {:.6},\n  \
          \"speedup\": {:.3},\n  \"min_speedup_gate\": {min_speedup},\n  \
-         \"lpt_speedup\": {:.3},\n  \"lpt_min_speedup_gate\": {lpt_min_speedup},\n  \
+         \"inner_parallel_speedup\": {:.3},\n  \
+         \"inner_min_speedup_gate\": {inner_min_speedup},\n  \
          \"battleship_final_f1_pct\": {:.3}\n}}\n",
         grid.scenarios[0].name(),
         art.dataset.len(),
@@ -284,13 +236,11 @@ fn main() {
         n_runs,
         config.experiment.al.iterations,
         config.experiment.al.budget,
-        serial.median_secs,
+        serial_one_core,
         serial_inner_parallel,
         parallel.median_secs,
-        lpt_median,
-        interleave_median,
         speedup,
-        lpt_speedup,
+        inner_speedup,
         battleship_final,
     );
     let json = em_bench::with_provenance(&json);
@@ -303,9 +253,10 @@ fn main() {
         eprintln!("[engine] FAIL: speedup {speedup:.2}× below the {min_speedup:.1}× gate");
         std::process::exit(1);
     }
-    if lpt_min_speedup > 0.0 && lpt_speedup < lpt_min_speedup {
+    if inner_speedup < inner_min_speedup {
         eprintln!(
-            "[engine] FAIL: LPT speedup {lpt_speedup:.2}× below the {lpt_min_speedup:.2}× gate"
+            "[engine] FAIL: inner parallelism {inner_speedup:.2}× of one core, below the \
+             {inner_min_speedup:.1}× gate"
         );
         std::process::exit(1);
     }

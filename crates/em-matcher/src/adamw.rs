@@ -5,11 +5,17 @@
 //! MLP-appropriate learning rate).
 
 use em_core::{EmError, Result};
+use rayon::prelude::*;
 
 /// Exponent field of an `f32`: all zero for ±0 and subnormals.
 const EXPONENT_BITS: u32 = 0x7F80_0000;
 /// Sign bit of an `f32`.
 const SIGN_BIT: u32 = 0x8000_0000;
+
+/// Parameters per parallel range of an [`AdamW::step`]. A multiple of 16
+/// floats, so no cache line is written by two threads; a vector of one
+/// range or less steps on the calling thread alone.
+const RANGE: usize = 8 * 1024;
 
 /// AdamW state over a flat parameter vector.
 #[derive(Debug, Clone)]
@@ -81,44 +87,30 @@ impl AdamW {
     /// parameter, decay term or gradient below those bounds can see a
     /// different bit; the moments themselves may differ (a flushed one
     /// holds zero where the IEEE one keeps decaying).
+    ///
+    /// The update is elementwise, so a large vector is split into
+    /// contiguous ranges that run across the rayon pool with every bit
+    /// unchanged.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32], decay_mask: &[bool]) -> Result<()> {
         let (bc1, bc2) = self.begin_step(params.len(), grads.len(), decay_mask.len())?;
-        let (beta1, beta2) = (self.beta1, self.beta2);
-        let (lr, eps, wd) = (self.lr, self.eps, self.weight_decay);
-        // Branch-free element update (the decay mask and the subnormal
-        // flush fold to bit masks), all inputs walked in lockstep with
-        // bounds checks elided — the loop body has no loop-borne
-        // dependency, so LLVM vectorizes it (vsqrtps/vdivps included).
-        // This step runs once per mini-batch over every parameter; as a
-        // flat O(n_params) cost it is shared by both matcher engines and
-        // sits on the training hot path.
-        let iter = params
-            .iter_mut()
-            .zip(grads)
-            .zip(self.m.iter_mut().zip(self.v.iter_mut()))
-            .zip(decay_mask);
-        for (((p, &g), (m, v)), &mask) in iter {
-            // Clearing all but the sign bit is one AND with a mask; a
-            // select between two bit patterns costs SSE2 twice as much.
-            let bits = m.to_bits();
-            let flush = if bits & EXPONENT_BITS == 0 {
-                !SIGN_BIT
-            } else {
-                0
-            };
-            let m_prev = f32::from_bits(bits & !flush);
-            // The new moments stay in registers: re-reading `*m` after
-            // the store to `*v` would cost a load per vector.
-            let m_new = beta1 * m_prev + (1.0 - beta1) * g;
-            let v_new = beta2 * *v + (1.0 - beta2) * g * g;
-            *m = m_new;
-            *v = v_new;
-            let m_hat = m_new / bc1;
-            let v_hat = v_new / bc2;
-            let decay = if mask { wd } else { 0.0 };
-            let update = m_hat / (v_hat.sqrt() + eps) + decay * *p;
-            *p -= lr * update;
-        }
+        let k = StepConsts {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            bc1,
+            bc2,
+            lr: self.lr,
+            eps: self.eps,
+            wd: self.weight_decay,
+        };
+        let ranges: Vec<_> = params
+            .chunks_mut(RANGE)
+            .zip(grads.chunks(RANGE))
+            .zip(self.m.chunks_mut(RANGE).zip(self.v.chunks_mut(RANGE)))
+            .zip(decay_mask.chunks(RANGE))
+            .collect();
+        ranges
+            .into_par_iter()
+            .for_each(|(((p, g), (m, v)), mask)| k.update(p, g, m, v, mask));
         Ok(())
     }
 
@@ -166,6 +158,77 @@ impl AdamW {
             1.0 - self.beta1.powi(self.t as i32),
             1.0 - self.beta2.powi(self.t as i32),
         ))
+    }
+}
+
+/// The scalars one [`AdamW::step`] applies to every element.
+#[derive(Clone, Copy)]
+struct StepConsts {
+    beta1: f32,
+    beta2: f32,
+    /// Bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ`.
+    bc1: f32,
+    bc2: f32,
+    lr: f32,
+    eps: f32,
+    wd: f32,
+}
+
+impl StepConsts {
+    /// Update one contiguous range of parameters and moments. The scalars
+    /// arrive by value: the same loop in a closure capturing them by
+    /// reference was not vectorized and measured ~4× slower.
+    fn update(
+        self,
+        params: &mut [f32],
+        grads: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        mask: &[bool],
+    ) {
+        let StepConsts {
+            beta1,
+            beta2,
+            bc1,
+            bc2,
+            lr,
+            eps,
+            wd,
+        } = self;
+        // Branch-free element update (the decay mask and the subnormal
+        // flush fold to bit masks), all inputs walked in lockstep with
+        // bounds checks elided — the loop body has no loop-borne
+        // dependency, so LLVM vectorizes it (vsqrtps/vdivps included).
+        // This step runs once per mini-batch over every parameter; as a
+        // flat O(n_params) cost it is shared by both matcher engines and
+        // sits on the training hot path.
+        let iter = params
+            .iter_mut()
+            .zip(grads)
+            .zip(m.iter_mut().zip(v.iter_mut()))
+            .zip(mask);
+        for (((p, &g), (m, v)), &mask) in iter {
+            // Clearing all but the sign bit is one AND with a mask; a
+            // select between two bit patterns costs SSE2 twice as much.
+            let bits = m.to_bits();
+            let flush = if bits & EXPONENT_BITS == 0 {
+                !SIGN_BIT
+            } else {
+                0
+            };
+            let m_prev = f32::from_bits(bits & !flush);
+            // The new moments stay in registers: re-reading `*m` after
+            // the store to `*v` would cost a load per vector.
+            let m_new = beta1 * m_prev + (1.0 - beta1) * g;
+            let v_new = beta2 * *v + (1.0 - beta2) * g * g;
+            *m = m_new;
+            *v = v_new;
+            let m_hat = m_new / bc1;
+            let v_hat = v_new / bc2;
+            let decay = if mask { wd } else { 0.0 };
+            let update = m_hat / (v_hat.sqrt() + eps) + decay * *p;
+            *p -= lr * update;
+        }
     }
 }
 
@@ -328,6 +391,56 @@ mod tests {
             most_subnormal >= 100,
             "the oracle held at most {most_subnormal} subnormal moments"
         );
+    }
+
+    /// On the featurized matcher's shape (~81.6k parameters) the step is
+    /// split across the pool whenever it has two or more threads; every
+    /// parameter and moment matches the step under `serial_scope` bit
+    /// for bit, subnormal and masked elements included.
+    #[test]
+    fn split_step_matches_serial_step_on_the_featurized_shape() {
+        let d = generate(
+            &DatasetProfile::dblp_scholar().scaled(0.02),
+            &mut Rng::seed_from_u64(1),
+        )
+        .unwrap();
+        let dim = Featurizer::new(&d, FeatureConfig::default()).unwrap().dim();
+        let config = MatcherConfig::default();
+        let mut rng = Rng::seed_from_u64(config.seed);
+        let mut mlp = Mlp::new(dim, &config.hidden, &mut rng).unwrap();
+        let n = mlp.n_params();
+        assert!(n > 80_000, "{n} parameters");
+        assert!(n > RANGE, "the step would not split");
+        let mask = mlp.decay_mask().to_vec();
+        let mut opt = AdamW::new(n, config.lr, config.weight_decay).unwrap();
+        opt.t = 900;
+        for i in 0..n {
+            opt.m[i] = if i % 19 == 0 {
+                -1.0e-40
+            } else {
+                rng.normal() as f32 * 1e-3
+            };
+            opt.v[i] = rng.f32() * 1e-6;
+        }
+        let (mut split, mut serial) = (opt.clone(), opt);
+        let mut p_split = mlp.params_mut().to_vec();
+        let mut p_serial = p_split.clone();
+        for _ in 0..3 {
+            let grads: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        0.0
+                    } else {
+                        rng.normal() as f32 * 1e-2
+                    }
+                })
+                .collect();
+            split.step(&mut p_split, &grads, &mask).unwrap();
+            rayon::serial_scope(|| serial.step(&mut p_serial, &grads, &mask)).unwrap();
+            assert_eq!(bits(&p_split), bits(&p_serial));
+            assert_eq!(bits(&split.m), bits(&serial.m));
+            assert_eq!(bits(&split.v), bits(&serial.v));
+        }
     }
 
     /// Minimize f(x) = (x − 3)²; gradient 2(x − 3).

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use battleship_em::al::{distribute_budget, lpt_assign, lpt_start_offsets, positive_budget};
+use battleship_em::al::{distribute_budget, positive_budget};
 use battleship_em::cluster::{constrained_kmeans, ConstrainedConfig};
 use battleship_em::core::{jaccard, tokenize, BinaryConfusion, F1Curve, Label, Rng, TokenSet};
 use battleship_em::graph::{binary_entropy, connected_components, NodeKind, PairGraph};
@@ -351,49 +351,5 @@ proptest! {
         .unwrap();
         prop_assert_eq!(&exact.assignment, &full.assignment);
         prop_assert_eq!(exact.sse.to_bits(), full.sse.to_bits());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// LPT scheduling monotonicity: under the engine's cost-model LPT
-    /// assignment, more work never schedules strictly later — a heavier
-    /// item's idealized start offset is at most a lighter item's. (LPT
-    /// places items in descending cost order onto the least-loaded bin,
-    /// and the minimum bin load is non-decreasing over placements.)
-    #[test]
-    fn lpt_start_offsets_are_monotone_in_cost(
-        costs in prop::collection::vec(0.0f64..100.0, 0..40),
-        n_bins in 1usize..9,
-    ) {
-        let starts = lpt_start_offsets(&costs, n_bins);
-        prop_assert_eq!(starts.len(), costs.len());
-        for i in 0..costs.len() {
-            for j in 0..costs.len() {
-                if costs[i] > costs[j] {
-                    prop_assert!(
-                        starts[i] <= starts[j],
-                        "heavier item {} (cost {}) starts at {} after lighter item {} (cost {}) at {}",
-                        i, costs[i], starts[i], j, costs[j], starts[j]
-                    );
-                }
-            }
-        }
-    }
-
-    /// LPT assignment is always a partition of the items, for any bin
-    /// count — nothing dropped, nothing duplicated, bins never exceed
-    /// the requested count.
-    #[test]
-    fn lpt_assign_partitions_the_items(
-        costs in prop::collection::vec(0.0f64..100.0, 0..40),
-        n_bins in 0usize..9,
-    ) {
-        let bins = lpt_assign(&costs, n_bins);
-        prop_assert_eq!(bins.len(), n_bins.max(1));
-        let mut seen: Vec<usize> = bins.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..costs.len()).collect::<Vec<_>>());
     }
 }
