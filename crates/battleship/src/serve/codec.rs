@@ -8,9 +8,12 @@
 //!   checkpoint was written in;
 //! * [`SnapshotCodec::Binary`] — the compact frame of
 //!   [`SessionSnapshot::to_bytes`]: float bit patterns instead of
-//!   decimal renderings, a version byte and an FNV-1a 64 checksum
-//!   (several times smaller on real sessions — the matcher parameters
-//!   dominate — and the store's default).
+//!   decimal renderings, a version byte and a word-wide 64-bit checksum
+//!   (`em_core::codec::frame_checksum`; several times smaller on real
+//!   sessions — the matcher parameters dominate — and the store's
+//!   default). Frames of any other format version are rejected with a
+//!   structured error, so JSON is the path for moving checkpoints across
+//!   format versions.
 //!
 //! Both decode to the *same* [`SessionSnapshot`] value, so a session
 //! restored from either continues bit-identically; the golden tests in

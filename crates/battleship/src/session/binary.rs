@@ -4,10 +4,11 @@
 //! A session checkpoint is dominated by the matcher's flat `f32`
 //! parameters; JSON renders those at several bytes per byte of payload.
 //! This module encodes the complete snapshot into one checksummed
-//! little-endian frame (see `em_core::codec` for the wire primitives
-//! and the corruption-detection contract): a `BSSS` magic, a format
-//! version byte, every scalar field in declaration order, and the
-//! nested checkpointable types ([`RngState`](em_core::RngState),
+//! little-endian frame (see `em_core::codec` for the wire primitives,
+//! the word-wide frame checksum and the corruption-detection contract):
+//! a `BSSS` magic, a format version byte (2; a frame of any other
+//! version is rejected), every scalar field in declaration order, and
+//! the nested checkpointable types ([`RngState`](em_core::RngState),
 //! [`Membership`](em_core::Membership),
 //! [`MatcherSnapshot`](em_matcher::MatcherSnapshot)) embedded as their
 //! own framed blocks — each carries its own magic/version/checksum, so
@@ -34,7 +35,7 @@ use super::{PendingSnapshot, SessionPhase, SessionSnapshot};
 /// Binary frame magic for [`SessionSnapshot`].
 const SESSION_MAGIC: [u8; 4] = *b"BSSS";
 /// Binary format version for [`SessionSnapshot`] frames.
-const SESSION_BINARY_VERSION: u8 = 1;
+const SESSION_BINARY_VERSION: u8 = 2;
 
 fn put_label(w: &mut ByteWriter, label: Label) {
     w.put_u8(label.is_match() as u8);

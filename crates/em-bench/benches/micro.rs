@@ -292,6 +292,58 @@ fn bench_adamw_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// Encode and decode of one serving-store checkpoint: a battleship
+/// session on amazon-google at 0.25 of Table 3 size (the `serve-labelers`
+/// configuration of `perfbench`) after its first training round, whose
+/// matcher holds 81,601 parameters (848 → 96 → 1) in a ~333 KB frame.
+fn bench_session_codec(c: &mut Criterion) {
+    use battleship::api::{
+        Label, MatchSession, PairIdx, Scenario, SessionConfig, SessionSnapshot, StrategySpec,
+    };
+    use battleship::ExperimentConfig;
+    let scenario = Scenario::synthetic_scaled(em_synth::DatasetProfile::amazon_google(), 0.25, 3);
+    let art = scenario.materialize().unwrap();
+    let mut experiment = ExperimentConfig::default();
+    experiment.al.iterations = 3;
+    experiment.al.budget = 40;
+    experiment.al.seed_size = 40;
+    experiment.al.weak_budget = 40;
+    experiment.matcher.epochs = 12;
+    let config = SessionConfig {
+        experiment,
+        strategy: StrategySpec::Battleship,
+        seed: 4,
+    };
+    let mut session = MatchSession::new(&art.dataset, &art.features, config).unwrap();
+    session.advance().unwrap();
+    let answers: Vec<(PairIdx, Label)> = session
+        .next_query_batch()
+        .iter()
+        .map(|&p| (p, art.dataset.ground_truth(p)))
+        .collect();
+    session.submit_labels(&answers).unwrap();
+    session.advance().unwrap();
+    let snapshot = session.snapshot().unwrap();
+    let frame = snapshot.to_bytes();
+    let params = snapshot.matcher.as_ref().map_or(0, |m| m.params.len());
+    eprintln!(
+        "[micro] session frame: {} bytes, {params} matcher parameters",
+        frame.len()
+    );
+    let mut group = c.benchmark_group("codec");
+    group.bench_with_input(
+        BenchmarkId::new("session_frame_333k", "encode"),
+        &snapshot,
+        |b, snapshot| b.iter(|| black_box(snapshot).to_bytes()),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("session_frame_333k", "decode"),
+        &frame,
+        |b, frame| b.iter(|| SessionSnapshot::from_bytes(black_box(frame)).unwrap()),
+    );
+    group.finish();
+}
+
 fn bench_kernel_tiers(c: &mut Criterion) {
     use em_vector::{gemm, kernel, simd_tier, with_simd_tier, SimdTier};
     let query = gaussian(1, 768, 8);
@@ -346,6 +398,7 @@ criterion_group!(
     bench_gmm,
     bench_matcher_step,
     bench_adamw_step,
+    bench_session_codec,
     bench_kernel_tiers
 );
 criterion_main!(benches);

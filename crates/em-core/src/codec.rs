@@ -7,20 +7,40 @@
 //! `to_bytes` / `from_bytes` on:
 //!
 //! * [`ByteWriter`] — primitive little-endian emitters plus
-//!   length-prefixed arrays and strings,
+//!   length-prefixed arrays and strings; fixed-width arrays are reserved
+//!   once and copied in bulk,
 //! * [`ByteReader`] — the mirror decoder; every read is bounds-checked
 //!   and returns a structured [`EmError::Codec`] (never panics, never
-//!   over-allocates on a corrupt length prefix),
+//!   over-allocates on a corrupt length prefix); a fixed-width array is
+//!   one bounds-checked take, then a bulk conversion,
 //! * [`write_frame`] / [`read_frame`] — the self-describing envelope:
 //!   a 4-byte magic, a format version byte, a length-prefixed payload
-//!   and a trailing FNV-1a 64 checksum over everything before it.
+//!   and a trailing [`frame_checksum`] over everything before it.
 //!
-//! The checksum makes corruption detection deterministic: FNV-1a's
-//! per-byte state transition is a bijection of the running state (xor
-//! with the byte, then multiplication by an odd prime mod 2⁶⁴), so any
-//! single flipped bit anywhere in the frame yields a different digest —
-//! the codec robustness proptests flip bits at every position and
-//! require a structured error each time.
+//! The checksum makes corruption detection deterministic. It reads the
+//! frame as little-endian `u64` words dealt round-robin to 4 lanes, and
+//! advances a lane by the step `h ← rotl(h ⊕ w, 29) · P` (`P` the FNV-1a
+//! 64 prime). The lanes are then folded in order through the same step,
+//! followed by the 0–31 tail bytes (one step each) and the length. The
+//! step is a bijection of `h` for every `w` (xor, rotate and a multiply
+//! by an odd number mod 2⁶⁴ all invert) and a bijection of `w` for every
+//! `h`. So one changed word changes its lane's state at that step, every
+//! later step of the lane carries the difference through, the fold
+//! carries it into the digest, and any single flipped bit anywhere in
+//! the frame yields a different digest. The codec robustness tests flip
+//! bits at every position and require a structured error each time.
+//!
+//! The rotate matters. Without it, flipping bit 63 of `h` before the
+//! multiply flips exactly bit 63 after it (`2⁶³ · P ≡ 2⁶³` for odd `P`),
+//! so flips of bit 63 in two words of the same lane would cancel. With
+//! it, the difference lands on bit 28 before the multiply, so bit 28
+//! is the lowest bit in which the lane's next states differ, and a
+//! bit-63 flip in the lane's next word cannot cancel it.
+//!
+//! Four independent lanes let the multiplies of consecutive words
+//! overlap, so the checksum runs at about memory speed instead of one
+//! dependent multiply per byte. [`fnv1a64`] stays as the byte-wise
+//! reference hash for digests pinned elsewhere; no frame uses it.
 //!
 //! Floats are written as their IEEE-754 bit patterns, so a decoded
 //! value is *bit-identical* to the encoded one — the same contract the
@@ -51,7 +71,8 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a 64 over `bytes` — the frame checksum.
+/// FNV-1a 64 over `bytes`, one byte at a time. Frames use the faster
+/// [`frame_checksum`]; this stays for digests pinned by other crates.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -59,6 +80,33 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Left-rotate of the [`frame_checksum`] step.
+const WORD_ROTATE: u32 = 29;
+
+/// One step of [`frame_checksum`]: a bijection of `h` for every `w` and
+/// of `w` for every `h`.
+#[inline(always)]
+fn word_step(h: u64, w: u64) -> u64 {
+    (h ^ w).rotate_left(WORD_ROTATE).wrapping_mul(FNV_PRIME)
+}
+
+/// The frame checksum: 4 interleaved lanes over little-endian `u64`
+/// words, folded in order, then the tail bytes and the length (see the
+/// module docs for why any single changed word changes the digest).
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = [FNV_OFFSET; 4];
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = word_step(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let h = lanes.into_iter().fold(FNV_OFFSET, word_step);
+    let h = tail.iter().fold(h, |h, &b| word_step(h, b as u64));
+    word_step(h, bytes.len() as u64)
 }
 
 /// A growable little-endian byte sink.
@@ -142,36 +190,35 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Append a length-prefixed array of fixed-width elements: one
+    /// reservation, then a bulk copy of each element's bytes.
+    fn put_array<T: Copy, const N: usize>(&mut self, xs: &[T], to_le: impl Fn(T) -> [u8; N]) {
+        self.put_usize(xs.len());
+        let start = self.buf.len();
+        self.buf.resize(start + N * xs.len(), 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(N).zip(xs) {
+            dst.copy_from_slice(&to_le(x));
+        }
+    }
+
     /// Append a length-prefixed `u32` array.
     pub fn put_u32s(&mut self, xs: &[u32]) {
-        self.put_usize(xs.len());
-        for &x in xs {
-            self.put_u32(x);
-        }
+        self.put_array(xs, u32::to_le_bytes);
     }
 
     /// Append a length-prefixed `u64` array.
     pub fn put_u64s(&mut self, xs: &[u64]) {
-        self.put_usize(xs.len());
-        for &x in xs {
-            self.put_u64(x);
-        }
+        self.put_array(xs, u64::to_le_bytes);
     }
 
     /// Append a length-prefixed `usize` array (as `u64`s).
     pub fn put_usizes(&mut self, xs: &[usize]) {
-        self.put_usize(xs.len());
-        for &x in xs {
-            self.put_usize(x);
-        }
+        self.put_array(xs, |x| (x as u64).to_le_bytes());
     }
 
     /// Append a length-prefixed `f32` array (bit patterns).
     pub fn put_f32s(&mut self, xs: &[f32]) {
-        self.put_usize(xs.len());
-        for &x in xs {
-            self.put_f32(x);
-        }
+        self.put_array(xs, f32::to_le_bytes);
     }
 
     /// Append a length-prefixed opaque byte block (nested frames).
@@ -326,28 +373,35 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|e| self.err(format!("invalid UTF-8: {e}")))
     }
 
+    /// Read a length-prefixed array of fixed-width elements: one
+    /// bounds-checked take of all its bytes, then a bulk conversion.
+    fn get_array<T, const N: usize>(&mut self, from_le: impl Fn([u8; N]) -> T) -> Result<Vec<T>> {
+        let n = self.get_len(N)?;
+        let (words, _) = self.take(N * n)?.as_chunks::<N>();
+        Ok(words.iter().map(|&w| from_le(w)).collect())
+    }
+
     /// Read a length-prefixed `u32` array.
     pub fn get_u32s(&mut self) -> Result<Vec<u32>> {
-        let n = self.get_len(4)?;
-        (0..n).map(|_| self.get_u32()).collect()
+        self.get_array(u32::from_le_bytes)
     }
 
     /// Read a length-prefixed `u64` array.
     pub fn get_u64s(&mut self) -> Result<Vec<u64>> {
-        let n = self.get_len(8)?;
-        (0..n).map(|_| self.get_u64()).collect()
+        self.get_array(u64::from_le_bytes)
     }
 
     /// Read a length-prefixed `usize` array.
     pub fn get_usizes(&mut self) -> Result<Vec<usize>> {
-        let n = self.get_len(8)?;
-        (0..n).map(|_| self.get_usize()).collect()
+        self.get_u64s()?
+            .into_iter()
+            .map(|v| usize::try_from(v).map_err(|_| self.err(format!("value {v} exceeds usize"))))
+            .collect()
     }
 
     /// Read a length-prefixed `f32` array.
     pub fn get_f32s(&mut self) -> Result<Vec<f32>> {
-        let n = self.get_len(4)?;
-        (0..n).map(|_| self.get_f32()).collect()
+        self.get_array(f32::from_le_bytes)
     }
 
     /// Read a length-prefixed opaque byte block (nested frames).
@@ -407,15 +461,15 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Wrap `payload` in the standard frame:
-/// `magic(4) | version(1) | payload_len(u64 LE) | payload | fnv1a64(u64 LE)`
-/// where the checksum covers everything before it.
+/// `magic(4) | version(1) | payload_len(u64 LE) | payload | checksum(u64 LE)`
+/// where the [`frame_checksum`] covers everything before it.
 pub fn write_frame(magic: [u8; 4], version: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 21);
     out.extend_from_slice(&magic);
     out.push(version);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = fnv1a64(&out);
+    let sum = frame_checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -462,7 +516,7 @@ pub fn read_frame<'a>(
     }
     let body = &bytes[..header + payload_len];
     let stored = u64::from_le_bytes(to_array(&bytes[header + payload_len..])?);
-    let computed = fnv1a64(body);
+    let computed = frame_checksum(body);
     if stored != computed {
         return Err(err(format!(
             "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
@@ -493,6 +547,9 @@ mod tests {
         w.put_u64s(&[u64::MAX]);
         w.put_usizes(&[0, 9]);
         w.put_bytes(b"nested");
+        for xs in &special_f32_arrays() {
+            w.put_f32s(xs);
+        }
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes, "test");
@@ -516,7 +573,60 @@ mod tests {
         assert_eq!(r.get_u64s().unwrap(), vec![u64::MAX]);
         assert_eq!(r.get_usizes().unwrap(), vec![0, 9]);
         assert_eq!(r.get_bytes().unwrap(), b"nested");
+        for xs in &special_f32_arrays() {
+            let back = r.get_f32s().unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(xs));
+        }
         r.finish().unwrap();
+    }
+
+    /// `f32` arrays of length 0, 1 and 7 holding a quiet NaN with
+    /// payload bits, a signalling NaN, −0.0 and subnormals.
+    fn special_f32_arrays() -> [Vec<f32>; 3] {
+        let quiet_nan = f32::from_bits(0x7FC0_1234);
+        let signalling_nan = f32::from_bits(0xFF80_0001);
+        let subnormal = f32::from_bits(0x0000_0001);
+        [
+            Vec::new(),
+            vec![quiet_nan],
+            vec![
+                -0.0,
+                subnormal,
+                signalling_nan,
+                quiet_nan,
+                -f32::from_bits(0x007F_FFFF),
+                1.0,
+                f32::NEG_INFINITY,
+            ],
+        ]
+    }
+
+    #[test]
+    fn arrays_one_byte_short_are_structured_errors() {
+        let mut w = ByteWriter::new();
+        w.put_f32s(&[1.0, 2.0, 3.0]);
+        let f32s = w.into_bytes();
+        let mut w = ByteWriter::new();
+        w.put_u32s(&[1, 2, 3]);
+        let u32s = w.into_bytes();
+        let mut w = ByteWriter::new();
+        w.put_u64s(&[1, 2, 3]);
+        let u64s = w.into_bytes();
+        let short = |b: &Vec<u8>| b[..b.len() - 1].to_vec();
+        let errors = [
+            ByteReader::new(&short(&f32s), "short").get_f32s().map(drop),
+            ByteReader::new(&short(&u32s), "short").get_u32s().map(drop),
+            ByteReader::new(&short(&u64s), "short").get_u64s().map(drop),
+            ByteReader::new(&short(&u64s), "short")
+                .get_usizes()
+                .map(drop),
+        ];
+        for e in errors {
+            let e = e.unwrap_err();
+            assert!(matches!(e, EmError::Codec(_)), "{e}");
+            assert!(e.to_string().contains("short"), "{e}");
+        }
     }
 
     #[test]
@@ -551,16 +661,20 @@ mod tests {
 
     #[test]
     fn frame_round_trips_and_detects_every_single_bit_flip() {
-        let payload = b"the matcher params dominate snapshot size";
-        let frame = write_frame(*b"TEST", 3, payload);
+        let payload: Vec<u8> = (0..140u32).map(|i| (i * 37 % 251) as u8).collect();
+        let frame = write_frame(*b"TEST", 3, &payload);
+        // The checksummed body (header + payload) spans 4 full 32-byte
+        // blocks, so every lane takes several steps, plus a tail.
+        let body = frame.len() - 8;
+        assert!(body / 32 >= 3 && (1..32).contains(&(body % 32)), "{body}");
         assert_eq!(read_frame(&frame, *b"TEST", 3, "frame").unwrap(), payload);
         // Wrong magic / version / truncation are structured errors.
         assert!(read_frame(&frame, *b"NOPE", 3, "frame").is_err());
         assert!(read_frame(&frame, *b"TEST", 4, "frame").is_err());
         assert!(read_frame(&frame[..frame.len() - 1], *b"TEST", 3, "frame").is_err());
         // Exhaustive single-bit corruption: every flip must be caught
-        // (FNV-1a's per-byte transition is bijective in the running
-        // state, so one flipped bit always changes the digest).
+        // (the checksum step is bijective in the word and in the lane
+        // state, so one changed word always changes the digest).
         for byte in 0..frame.len() {
             for bit in 0..8 {
                 let mut bad = frame.clone();
@@ -571,6 +685,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bit_63_flips_in_two_words_of_one_lane_are_detected() {
+        let payload = vec![0x5Au8; 100];
+        let frame = write_frame(*b"TEST", 3, &payload);
+        // Words at frame offsets 16 and 48 are 32 bytes apart, so lane 0
+        // consumes them on consecutive steps; byte 7 of a word holds its
+        // bit 63.
+        let mut bad = frame.clone();
+        bad[16 + 7] ^= 0x80;
+        bad[48 + 7] ^= 0x80;
+        assert_ne!(frame_checksum(&bad), frame_checksum(&frame));
+        assert!(read_frame(&bad, *b"TEST", 3, "frame").is_err());
+        // Without the rotate the two flips cancel exactly: this is the
+        // case the rotate exists for.
+        let unrotated = |bytes: &[u8]| {
+            let (blocks, _) = bytes.as_chunks::<32>();
+            let mut lanes = [FNV_OFFSET; 4];
+            for block in blocks {
+                let (words, _) = block.as_chunks::<8>();
+                for (lane, word) in lanes.iter_mut().zip(words) {
+                    *lane = (*lane ^ u64::from_le_bytes(*word)).wrapping_mul(FNV_PRIME);
+                }
+            }
+            lanes
+        };
+        assert_eq!(unrotated(&bad), unrotated(&frame));
     }
 
     #[test]
@@ -622,5 +764,22 @@ mod tests {
         // Reference vectors for FNV-1a 64.
         assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
+    }
+
+    #[test]
+    fn frame_checksum_reference_vectors() {
+        // Pinned: the frame checksum is the wire format, so a changed
+        // vector means every stored frame stops decoding.
+        let vectors = [
+            (0usize, 0x42F2_BF91_82FE_A436u64),
+            (31, 0x7979_179F_35CB_7A70),
+            (32, 0x08A3_FCAC_9ED1_F49F),
+            (33, 0x5057_F0DD_15D4_CA2F),
+            (100, 0x7E9C_4619_6143_C6A6),
+        ];
+        for (n, digest) in vectors {
+            let bytes: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            assert_eq!(frame_checksum(&bytes), digest, "{n} bytes");
+        }
     }
 }

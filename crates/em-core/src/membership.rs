@@ -119,7 +119,7 @@ impl Membership {
 /// Binary frame magic for [`Membership`].
 const MEMBERSHIP_MAGIC: [u8; 4] = *b"EMMB";
 /// Binary format version for [`Membership`].
-const MEMBERSHIP_VERSION: u8 = 1;
+const MEMBERSHIP_VERSION: u8 = 2;
 
 #[cfg(test)]
 mod tests {

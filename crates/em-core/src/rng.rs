@@ -56,7 +56,7 @@ pub struct RngState {
 /// Binary frame magic for [`RngState`].
 const RNG_MAGIC: [u8; 4] = *b"EMRG";
 /// Binary format version for [`RngState`].
-const RNG_VERSION: u8 = 1;
+const RNG_VERSION: u8 = 2;
 
 impl RngState {
     /// Encode the state as a checksummed binary frame

@@ -132,7 +132,7 @@ pub struct MatcherSnapshot {
 /// Binary frame magic for [`MatcherSnapshot`].
 const MATCHER_SNAPSHOT_MAGIC: [u8; 4] = *b"EMMS";
 /// Binary format version for [`MatcherSnapshot`].
-const MATCHER_SNAPSHOT_VERSION: u8 = 1;
+const MATCHER_SNAPSHOT_VERSION: u8 = 2;
 
 impl MatcherSnapshot {
     /// Encode the snapshot as a checksummed binary frame (see

@@ -9,9 +9,11 @@ use std::sync::{Arc, OnceLock};
 use battleship_em::al::ExperimentConfig;
 use battleship_em::api::{
     DirBackend, Label, MatchSession, MemoryBackend, PairIdx, RunReport, Scenario, SessionConfig,
-    SessionPhase, SessionSnapshot, SessionStore, SnapshotCodec, StrategySpec,
+    SessionPhase, SessionSnapshot, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
-use battleship_em::core::EmError;
+use battleship_em::core::codec::fnv1a64;
+use battleship_em::core::{EmError, Membership, RngState};
+use battleship_em::matcher::MatcherSnapshot;
 use proptest::prelude::*;
 
 /// The shared scenario every test materializes through its store's
@@ -335,6 +337,76 @@ fn snapshot_bytes() -> &'static Vec<u8> {
         session.submit_labels(&half).unwrap();
         session.snapshot().unwrap().to_bytes()
     })
+}
+
+/// `frame` re-framed exactly as format version 1 wrote it: the same
+/// envelope with version byte 1 and a byte-wise FNV-1a 64 checksum.
+fn as_version_1(frame: &[u8]) -> Vec<u8> {
+    let mut body = frame[..frame.len() - 8].to_vec();
+    body[4] = 1;
+    let sum = fnv1a64(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Decoding a version-1 frame must fail on its version, before the
+/// checksum is even looked at.
+fn assert_version_rejected<T>(decoded: Result<T, EmError>, context: &str) {
+    match decoded {
+        Err(EmError::Codec(msg)) => assert!(
+            msg.starts_with(context) && msg.contains("unsupported format version 1 (expected 2)"),
+            "{msg}"
+        ),
+        Err(other) => panic!("{context}: non-codec error {other}"),
+        Ok(_) => panic!("{context}: a version-1 frame decoded"),
+    }
+}
+
+/// Frames written by the version-1 codec (byte-wise FNV-1a checksum)
+/// decode to the structured version error for each of the four framed
+/// types, and recovery quarantines such a frame and falls back to the
+/// generation under it.
+#[test]
+fn version_1_frames_are_rejected_and_quarantined() {
+    let bytes = snapshot_bytes();
+    let snap = SessionSnapshot::from_bytes(bytes).unwrap();
+    let nested = [
+        snap.rng.to_bytes(),
+        snap.membership.to_bytes(),
+        snap.matcher.as_ref().unwrap().to_bytes(),
+    ];
+    assert_version_rejected(RngState::from_bytes(&as_version_1(&nested[0])), "RngState");
+    assert_version_rejected(
+        Membership::from_bytes(&as_version_1(&nested[1])),
+        "Membership",
+    );
+    assert_version_rejected(
+        MatcherSnapshot::from_bytes(&as_version_1(&nested[2])),
+        "MatcherSnapshot",
+    );
+    // A version-1 session frame nests version-1 frames of the same size.
+    let mut old = bytes.clone();
+    for frame in &nested {
+        let at = old
+            .windows(frame.len())
+            .position(|w| w == frame.as_slice())
+            .unwrap();
+        old[at..at + frame.len()].copy_from_slice(&as_version_1(frame));
+    }
+    let old = as_version_1(&old);
+    assert_eq!(old.len(), bytes.len());
+    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot");
+
+    let backend = Arc::new(MemoryBackend::with_keep(4));
+    backend.put("s", bytes).unwrap();
+    backend.put("s", &old).unwrap();
+    let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+    store.register_scenario(scenario());
+    let report = store.recover().unwrap();
+    assert_eq!(report.recovered, vec!["s".to_string()]);
+    assert_eq!(report.quarantined.len(), 1);
+    assert!(report.lost.is_empty());
+    assert_eq!(store.get("s").unwrap().phase, SessionPhase::AwaitingLabels);
 }
 
 proptest! {
