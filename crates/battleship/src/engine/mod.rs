@@ -15,17 +15,19 @@
 //!   baseline cells) and fans them out over the rayon pool in expansion
 //!   order — threads claim the next cell as they finish one, so uneven
 //!   cells balance without a cost model — each building a fresh `Send`
-//!   strategy from its [`StrategySpec`] and running the protocol loop in
-//!   [`worker`],
+//!   strategy from its [`StrategySpec`] and driving a
+//!   [`MatchSession`](crate::session::MatchSession) that owns it
+//!   ([`worker`]),
 //! * results are reassembled in the grid's fixed expansion order into a
 //!   [`GridReport`] whose non-timing content is **bit-identical for any
 //!   worker-thread count** (each run is a pure function of its spec, and
 //!   the inner kernels are themselves thread-count-invariant — the
 //!   golden tests below pin both properties).
 //!
-//! The legacy entry point
-//! [`run_active_learning`](crate::runner::run_active_learning) is now a
-//! thin wrapper over this module's [`worker`].
+//! The single-run entry point
+//! [`run_active_learning`](crate::runner::run_active_learning) drives
+//! the same session over a caller-managed strategy, so a grid cell is
+//! bit-identical (modulo wall-clock) to a single run with its seed.
 
 pub mod artifacts;
 pub mod scenario;

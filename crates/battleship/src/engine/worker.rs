@@ -2,10 +2,12 @@
 //!
 //! The active-learning protocol loop (§3.1 + §4.2: seed draw → train →
 //! predict → select → label → repeat) lives in [`crate::session`] as
-//! the step-driven [`MatchSession`] state machine; this module's
-//! [`execute_run`] is a thin driver that steps a session against an
-//! [`Oracle`], so the grid engine, `run_active_learning` and every
-//! bench inherit the session redesign for free.
+//! the step-driven [`MatchSession`] state machine. An active grid cell
+//! opens a session that owns its strategy (built from the cell's
+//! [`StrategySpec`](crate::strategies::StrategySpec)) and drives it
+//! against a [`PerfectOracle`]; the single-run
+//! [`run_active_learning`](crate::runner::run_active_learning) drives a
+//! session over a caller-managed strategy the same way.
 //!
 //! The pre-redesign closed loop is preserved **verbatim** below as
 //! [`execute_run_closed`] (public via
@@ -33,33 +35,11 @@ use em_vector::Embeddings;
 use crate::baselines::{full_d_f1, zeroer_f1};
 use crate::config::ExperimentConfig;
 use crate::report::{IterationRecord, RunReport};
-use crate::session::MatchSession;
+use crate::session::{MatchSession, SessionConfig};
 use crate::strategies::{SelectionContext, SelectionScratch, SelectionStrategy};
 
 use super::artifacts::DatasetArtifacts;
 use super::spec::{CellKind, RunSpec};
-
-/// Execute a full active-learning run by driving a [`MatchSession`]
-/// against the oracle (the engine's inner loop; the public single-run
-/// entry point is
-/// [`run_active_learning`](crate::runner::run_active_learning)).
-///
-/// `seed` drives every random decision (seed draw, matcher init,
-/// residual budget allocation, strategy tie-breaks), making runs exactly
-/// reproducible — and bit-identical (modulo wall-clock) to the
-/// pre-redesign closed loop preserved in [`execute_run_closed`].
-pub(crate) fn execute_run(
-    dataset: &Dataset,
-    features: &Embeddings,
-    strategy: &mut dyn SelectionStrategy,
-    oracle: &dyn Oracle,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Result<RunReport> {
-    let mut session =
-        MatchSession::with_strategy(dataset, features, strategy, config.clone(), seed)?;
-    session.drive(oracle)
-}
 
 /// A prepared run: dataset-level constants shared across iterations.
 pub struct ActiveLearningRun<'a> {
@@ -191,7 +171,7 @@ impl<'a> ActiveLearningRun<'a> {
 }
 
 /// The pre-redesign closed protocol loop, preserved verbatim as the
-/// golden reference for the session-driven [`execute_run`] (public via
+/// golden reference for the session-driven loop (public via
 /// [`crate::runner::run_closed_loop`]; also the baseline the `em-bench`
 /// session bench gates step-driven overhead against).
 ///
@@ -395,18 +375,16 @@ pub(crate) fn execute_spec(
     // em-lint: allow(wall-clock) -- per-cell wall-clock in the grid report; canonical() zeroes it
     let t0 = Instant::now();
     let report = match spec.kind {
-        CellKind::Active(strategy_spec) => {
-            let mut strategy = strategy_spec.build();
-            let oracle = PerfectOracle::new();
-            execute_run(
-                &artifacts.dataset,
-                &artifacts.features,
-                strategy.as_mut(),
-                &oracle,
-                config,
-                spec.seed,
-            )?
-        }
+        CellKind::Active(strategy) => MatchSession::new(
+            &artifacts.dataset,
+            &artifacts.features,
+            SessionConfig {
+                experiment: config.clone(),
+                strategy,
+                seed: spec.seed,
+            },
+        )?
+        .drive(&PerfectOracle::new())?,
         CellKind::ZeroEr => {
             let metrics = zeroer_f1(&artifacts.dataset, &artifacts.featurizer, spec.seed)?;
             baseline_report(

@@ -2,7 +2,7 @@
 //!
 //! The protocol itself (§3.1 + §4.2: seed draw → train → predict →
 //! select → label → repeat) lives in [`crate::session`] as the
-//! step-driven [`MatchSession`](crate::session::MatchSession) state
+//! step-driven [`MatchSession`] state
 //! machine; [`run_active_learning`] drives one session against an
 //! [`Oracle`] to completion. This keeps the original one-(dataset,
 //! strategy, seed) API for callers that want exactly one run —
@@ -22,12 +22,13 @@ use em_core::{Dataset, Oracle, Result};
 use em_vector::Embeddings;
 
 use crate::config::ExperimentConfig;
-use crate::engine::worker::{execute_run, execute_run_closed};
+use crate::engine::worker::execute_run_closed;
 use crate::report::RunReport;
+use crate::session::MatchSession;
 use crate::strategies::SelectionStrategy;
 
-/// Execute a full active-learning run (driving a
-/// [`MatchSession`](crate::session::MatchSession) internally).
+/// Execute a full active-learning run by driving a [`MatchSession`] over
+/// the caller's strategy against `oracle`.
 ///
 /// `seed` drives every random decision (seed draw, matcher init,
 /// residual budget allocation, strategy tie-breaks), making runs exactly
@@ -40,7 +41,7 @@ pub fn run_active_learning(
     config: &ExperimentConfig,
     seed: u64,
 ) -> Result<RunReport> {
-    execute_run(dataset, features, strategy, oracle, config, seed)
+    MatchSession::with_strategy(dataset, features, strategy, config.clone(), seed)?.drive(oracle)
 }
 
 /// Execute a run through the pre-redesign closed protocol loop.

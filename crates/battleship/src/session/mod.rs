@@ -32,9 +32,9 @@
 //!
 //! Each state transition is deterministic given the session seed, and a
 //! session driven against an oracle produces a [`RunReport`] **bit
-//! identical** (modulo wall-clock fields) to the engine's closed loop —
-//! the golden tests in [`crate::engine::worker`] and `tests/session_api.rs`
-//! pin this for every [`StrategySpec`]. [`MatchSession::snapshot`] /
+//! identical** (modulo wall-clock fields) to the preserved closed loop
+//! ([`crate::runner::run_closed_loop`]) — the golden tests in
+//! `tests/session_api.rs` pin this for every [`StrategySpec`]. [`MatchSession::snapshot`] /
 //! [`MatchSession::restore`] serialize the complete loop state, so a
 //! session can be persisted mid-iteration (even with a half-labeled
 //! batch in flight) and resumed bit-identically on another process.
@@ -286,7 +286,7 @@ impl<'a> MatchSession<'a> {
     }
 
     /// Open a session stepping a caller-managed strategy instance (the
-    /// engine / legacy-runner path). Such a session runs identically
+    /// [`run_active_learning`](crate::runner::run_active_learning) path). Such a session runs identically
     /// but cannot be checkpointed — [`MatchSession::snapshot`] needs a
     /// [`StrategySpec`] to rebuild the strategy on restore.
     pub fn with_strategy(

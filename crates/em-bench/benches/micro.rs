@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the performance-critical substrate
 //! pieces behind Figure 6's runtime profile (§5.2: "the K-Means
-//! clustering step consumes the majority of the running time"), plus the
-//! ablation comparisons DESIGN.md calls out: exact vs LSH vs HNSW
-//! nearest-neighbour search and greedy vs min-cost-flow constrained
-//! assignment.
+//! clustering step consumes the majority of the running time"), plus two
+//! ablation comparisons: exact vs HNSW nearest-neighbour search and
+//! greedy vs min-cost-flow constrained assignment (the trade-off
+//! `em_cluster::constrained`'s module docs describe). LSH lives on only
+//! as blocking signatures, timed by the blocking bench.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -12,7 +13,7 @@ use em_cluster::constrained::AssignmentMode;
 use em_cluster::{constrained_kmeans, kmeans, ConstrainedConfig, Gmm, GmmConfig, KMeansConfig};
 use em_core::Rng;
 use em_graph::{build_graph, pagerank, DotSim, EdgeConfig, NodeKind, PageRankConfig};
-use em_vector::{top_k, Embeddings, Hnsw, HnswConfig, LshConfig, LshIndex};
+use em_vector::{top_k, Embeddings, Hnsw, HnswConfig};
 
 fn gaussian(n: usize, dim: usize, seed: u64) -> Embeddings {
     let mut rng = Rng::seed_from_u64(seed);
@@ -57,7 +58,7 @@ fn bench_kmeans(c: &mut Criterion) {
         })
     });
     // The exact flow assignment is far costlier per iteration — bench on
-    // a smaller instance (the greedy-vs-flow ablation DESIGN.md names).
+    // a smaller instance (the greedy-vs-flow ablation).
     let small = gaussian(300, 32, 2);
     group.bench_function("constrained_flow_k5_n300_d32", |b| {
         b.iter(|| {
@@ -81,19 +82,12 @@ fn bench_kmeans(c: &mut Criterion) {
 
 fn bench_knn_indexes(c: &mut Criterion) {
     let data = gaussian(5000, 96, 3);
-    let lsh = LshIndex::build(&data, LshConfig::default()).unwrap();
     let hnsw = Hnsw::build(&data, HnswConfig::default()).unwrap();
     let mut group = c.benchmark_group("knn_indexes");
     {
         let k = 15usize;
         group.bench_with_input(BenchmarkId::new("exact", k), &k, |b, &k| {
             b.iter(|| top_k(black_box(&data), data.row(17), k, Some(17)))
-        });
-        group.bench_with_input(BenchmarkId::new("lsh", k), &k, |b, &k| {
-            b.iter(|| {
-                lsh.search(black_box(&data), data.row(17), k, Some(17))
-                    .unwrap()
-            })
         });
         group.bench_with_input(BenchmarkId::new("hnsw", k), &k, |b, &k| {
             b.iter(|| hnsw.search(data.row(17), k, Some(17)).unwrap())

@@ -2,37 +2,45 @@
 //! (the classic alternative the paper names in §2.2) as the centrality
 //! half of the Eq. 6 rank blend.
 
-use battleship::{BattleshipStrategy, CentralityMeasure, MultiSeedReport};
-use em_bench::{prepare, run_one, BenchArgs};
+use battleship::{ArtifactCache, CentralityMeasure, ExperimentGrid, Scenario, StrategySpec};
+use em_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse();
     let config = args.scale.experiment_config();
+    let scenarios: Vec<Scenario> = [
+        em_synth::DatasetProfile::walmart_amazon(),
+        em_synth::DatasetProfile::amazon_google(),
+    ]
+    .into_iter()
+    .map(|p| Scenario::synthetic(p.scaled(args.scale.factor()), 0xDA7A))
+    .collect();
+    let cache = ArtifactCache::new();
+
+    let grids = [CentralityMeasure::PageRank, CentralityMeasure::Betweenness].map(|measure| {
+        eprintln!("[ablation_centrality] {measure:?} …");
+        let mut cfg = config.clone();
+        cfg.battleship.centrality = measure;
+        ExperimentGrid::new(
+            scenarios.clone(),
+            vec![StrategySpec::Battleship],
+            args.grid_config(cfg, false),
+        )
+        .run_with_cache(&cache)
+        .expect("grid")
+    });
 
     println!("Ablation — centrality measure (final F1 % / AUC)\n");
     em_bench::print_row("dataset", &["pagerank".into(), "betweenness".into()]);
-    for profile in [
-        em_synth::DatasetProfile::walmart_amazon(),
-        em_synth::DatasetProfile::amazon_google(),
-    ] {
-        eprintln!("[ablation_centrality] {} …", profile.name);
-        let prepared = prepare(&profile, args.scale, 0xDA7A).expect("prepare");
-        let mut cells = Vec::new();
-        for measure in [CentralityMeasure::PageRank, CentralityMeasure::Betweenness] {
-            let mut cfg = config.clone();
-            cfg.battleship.centrality = measure;
-            let runs: Vec<_> = args
-                .seeds
-                .iter()
-                .map(|&s| run_one(&prepared, &mut BattleshipStrategy::new(), &cfg, s).expect("run"))
-                .collect();
-            let agg = MultiSeedReport::aggregate(&runs).expect("aggregate");
-            cells.push(format!(
-                "{:.1}/{:.0}",
-                agg.final_f1().unwrap_or(0.0),
-                agg.mean_auc
-            ));
-        }
-        em_bench::print_row(profile.name, &cells);
+    for scenario in &scenarios {
+        let name = scenario.name();
+        let cells: Vec<String> = grids
+            .iter()
+            .map(|grid| {
+                let agg = &grid.cell(name, "battleship").expect("cell").aggregate;
+                format!("{:.1}/{:.0}", agg.final_f1().unwrap_or(0.0), agg.mean_auc)
+            })
+            .collect();
+        em_bench::print_row(name, &cells);
     }
 }

@@ -9,7 +9,8 @@
 
 use std::io::Write as _;
 
-use em_bench::{prepare, BenchArgs};
+use battleship::Scenario;
+use em_bench::BenchArgs;
 use em_core::Label;
 use em_matcher::train_matcher;
 use em_vector::tsne::knn_label_purity;
@@ -24,8 +25,10 @@ fn main() {
         em_synth::DatasetProfile::walmart_amazon(),
     ] {
         eprintln!("[fig1] {} …", profile.name);
-        let prepared = prepare(&profile, args.scale, 0xDA7A).expect("prepare");
-        let d = &prepared.dataset;
+        let artifacts = Scenario::synthetic(profile.scaled(args.scale.factor()), 0xDA7A)
+            .materialize()
+            .expect("materialize");
+        let d = &artifacts.dataset;
 
         // Fully trained model (Figure 1 trains on the complete train set).
         let train = d.split().train.clone();
@@ -33,7 +36,7 @@ fn main() {
         let valid = d.split().valid.clone();
         let valid_labels = d.ground_truth_of(&valid);
         let matcher = train_matcher(
-            &prepared.features,
+            &artifacts.features,
             &train,
             &train_labels,
             &valid,
@@ -46,7 +49,7 @@ fn main() {
         let cap = 1200.min(train.len());
         let sample: Vec<usize> = train.iter().copied().take(cap).collect();
         let out = matcher
-            .predict(&prepared.features, &sample)
+            .predict(&artifacts.features, &sample)
             .expect("predict");
         let labels: Vec<bool> = sample
             .iter()
@@ -65,7 +68,7 @@ fn main() {
         let base_rate = labels.iter().filter(|&&l| l).count() as f64 / labels.len() as f64;
         println!(
             "Figure 1 — {}: 10-NN match purity {:.3} (base rate {:.3}), non-match purity {:.3}",
-            profile.name, pos_purity, base_rate, neg_purity
+            d.name, pos_purity, base_rate, neg_purity
         );
         println!(
             "  → matches {} together (purity / base rate = {:.1}×)",
@@ -81,7 +84,7 @@ fn main() {
 
         // CSV dump: x, y, is_match.
         std::fs::create_dir_all(&args.out_dir).expect("out dir");
-        let path = args.out_dir.join(format!("fig1_{}.csv", profile.name));
+        let path = args.out_dir.join(format!("fig1_{}.csv", d.name));
         let mut f = std::fs::File::create(&path).expect("csv");
         writeln!(f, "x,y,is_match").unwrap();
         for (i, &label) in labels.iter().enumerate() {

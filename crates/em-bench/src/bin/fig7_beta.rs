@@ -5,56 +5,67 @@
 //! only the model's own entropy; the paper finds the β = 0.5 fusion ahead
 //! once labels exceed ~500 and more stable throughout.
 
-use battleship::WeakMethod;
-use em_bench::{prepare, run_battleship_variant, BenchArgs};
+use battleship::{ArtifactCache, ExperimentGrid, Scenario, StrategySpec};
+use em_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse();
     let config = args.scale.experiment_config();
-
-    for profile in [
+    let scenarios: Vec<Scenario> = [
         em_synth::DatasetProfile::walmart_amazon(),
         em_synth::DatasetProfile::amazon_google(),
-    ] {
-        eprintln!("[fig7] {} …", profile.name);
-        let prepared = prepare(&profile, args.scale, 0xDA7A).expect("prepare");
-        println!(
-            "\nFigure 7 — {} (F1 % per iteration, α = 0.5)",
-            profile.name
-        );
-        let mut header_done = false;
-        let mut results = Vec::new();
-        for beta in [0.0, 0.5, 1.0] {
-            let report = run_battleship_variant(
-                &prepared,
-                &config,
-                0.5,
-                beta,
-                config.al.weak_supervision,
-                WeakMethod::Spatial,
-                &args.seeds,
+    ]
+    .into_iter()
+    .map(|p| Scenario::synthetic(p.scaled(args.scale.factor()), 0xDA7A))
+    .collect();
+    let cache = ArtifactCache::new();
+
+    let betas = [0.0, 0.5, 1.0];
+    let grids: Vec<_> = betas
+        .iter()
+        .map(|&beta| {
+            eprintln!("[fig7] β = {beta} …");
+            let mut cfg = config.clone();
+            cfg.battleship.alpha = 0.5;
+            cfg.battleship.beta = beta;
+            ExperimentGrid::new(
+                scenarios.clone(),
+                vec![StrategySpec::Battleship],
+                args.grid_config(cfg, false),
             )
-            .expect("run");
-            if !header_done {
-                let labels: Vec<String> = report
-                    .mean_curve
-                    .iter()
-                    .map(|(x, _)| format!("{x:.0}"))
-                    .collect();
-                em_bench::print_row("labels", &labels);
-                header_done = true;
-            }
+            .run_with_cache(&cache)
+            .expect("grid")
+        })
+        .collect();
+
+    for scenario in &scenarios {
+        let name = scenario.name();
+        println!("\nFigure 7 — {name} (F1 % per iteration, α = 0.5)");
+        let results: Vec<_> = betas
+            .iter()
+            .zip(&grids)
+            .map(|(beta, grid)| {
+                (
+                    beta,
+                    &grid.cell(name, "battleship").expect("cell").aggregate,
+                )
+            })
+            .collect();
+        let labels: Vec<String> = results[0]
+            .1
+            .mean_curve
+            .iter()
+            .map(|(x, _)| format!("{x:.0}"))
+            .collect();
+        em_bench::print_row("labels", &labels);
+        for (beta, report) in &results {
             let cells: Vec<String> = report
                 .mean_curve
                 .iter()
                 .map(|(_, y)| format!("{y:.2}"))
                 .collect();
             em_bench::print_row(&format!("beta={beta}"), &cells);
-            results.push((beta, report));
         }
-        let _ = args.write_json(
-            &format!("fig7_{}.json", profile.name),
-            &results.iter().map(|(b, r)| (b, r)).collect::<Vec<_>>(),
-        );
+        let _ = args.write_json(&format!("fig7_{name}.json"), &results);
     }
 }

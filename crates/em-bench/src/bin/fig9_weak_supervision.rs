@@ -2,54 +2,47 @@
 //! DAL on Walmart-Amazon and Amazon-Google. The paper finds weak
 //! supervision gives both methods a large, stabilizing boost.
 
-use battleship::{DalStrategy, ExperimentConfig, MultiSeedReport, WeakMethod};
-use em_bench::{prepare, run_battleship_variant, run_one, BenchArgs};
-
-fn dal_with(
-    prepared: &em_bench::PreparedDataset,
-    config: &ExperimentConfig,
-    weak: bool,
-    seeds: &[u64],
-) -> MultiSeedReport {
-    let mut cfg = config.clone();
-    cfg.al.weak_supervision = weak;
-    let runs: Vec<_> = seeds
-        .iter()
-        .map(|&s| run_one(prepared, &mut DalStrategy::new(), &cfg, s).expect("dal run"))
-        .collect();
-    MultiSeedReport::aggregate(&runs).expect("aggregate")
-}
+use battleship::{ArtifactCache, ExperimentGrid, Scenario, StrategySpec};
+use em_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse();
     let config = args.scale.experiment_config();
-
-    for profile in [
+    let scenarios: Vec<Scenario> = [
         em_synth::DatasetProfile::walmart_amazon(),
         em_synth::DatasetProfile::amazon_google(),
-    ] {
-        eprintln!("[fig9] {} …", profile.name);
-        let prepared = prepare(&profile, args.scale, 0xDA7A).expect("prepare");
-        println!("\nFigure 9 — {} (F1 % per iteration)", profile.name);
+    ]
+    .into_iter()
+    .map(|p| Scenario::synthetic(p.scaled(args.scale.factor()), 0xDA7A))
+    .collect();
+    let cache = ArtifactCache::new();
 
-        let bs = |ws: bool| {
-            run_battleship_variant(
-                &prepared,
-                &config,
-                0.5,
-                0.5,
-                ws,
-                WeakMethod::Spatial,
-                &args.seeds,
-            )
-            .expect("battleship runs")
-        };
+    let [with_ws, without_ws] = [true, false].map(|weak| {
+        eprintln!(
+            "[fig9] weak supervision {} …",
+            if weak { "on" } else { "off" }
+        );
+        let mut cfg = config.clone();
+        cfg.al.weak_supervision = weak;
+        ExperimentGrid::new(
+            scenarios.clone(),
+            vec![StrategySpec::Battleship, StrategySpec::Dal],
+            args.grid_config(cfg, false),
+        )
+        .run_with_cache(&cache)
+        .expect("grid")
+    });
+
+    for scenario in &scenarios {
+        let name = scenario.name();
+        println!("\nFigure 9 — {name} (F1 % per iteration)");
         let rows = [
-            ("battleship", bs(true)),
-            ("battleship -WS", bs(false)),
-            ("dal", dal_with(&prepared, &config, true, &args.seeds)),
-            ("dal -WS", dal_with(&prepared, &config, false, &args.seeds)),
-        ];
+            ("battleship", &with_ws, "battleship"),
+            ("battleship -WS", &without_ws, "battleship"),
+            ("dal", &with_ws, "dal"),
+            ("dal -WS", &without_ws, "dal"),
+        ]
+        .map(|(row, grid, strategy)| (row, &grid.cell(name, strategy).expect("cell").aggregate));
         let labels: Vec<String> = rows[0]
             .1
             .mean_curve
@@ -57,17 +50,14 @@ fn main() {
             .map(|(x, _)| format!("{x:.0}"))
             .collect();
         em_bench::print_row("labels", &labels);
-        for (name, report) in &rows {
+        for (row, report) in &rows {
             let cells: Vec<String> = report
                 .mean_curve
                 .iter()
                 .map(|(_, y)| format!("{y:.2}"))
                 .collect();
-            em_bench::print_row(name, &cells);
+            em_bench::print_row(row, &cells);
         }
-        let _ = args.write_json(
-            &format!("fig9_{}.json", profile.name),
-            &rows.iter().map(|(n, r)| (n, r)).collect::<Vec<_>>(),
-        );
+        let _ = args.write_json(&format!("fig9_{name}.json"), &rows.to_vec());
     }
 }

@@ -25,32 +25,21 @@ fn main() {
     );
     println!();
 
-    em_bench::print_row(
-        "zeroer (0)",
-        &datasets
+    for (row, extreme) in [
+        ("zeroer (0)", &results.zeroer),
+        ("full-d (all)", &results.full_d),
+    ] {
+        let cells: Vec<String> = datasets
             .iter()
             .map(|d| {
-                results
-                    .zeroer
+                extreme
                     .get(*d)
                     .map(|v| format!("{v:.2}"))
                     .unwrap_or_else(|| "-".into())
             })
-            .collect::<Vec<_>>(),
-    );
-    em_bench::print_row(
-        "full-d (all)",
-        &datasets
-            .iter()
-            .map(|d| {
-                results
-                    .full_d
-                    .get(*d)
-                    .map(|v| format!("{v:.2}"))
-                    .unwrap_or_else(|| "-".into())
-            })
-            .collect::<Vec<_>>(),
-    );
+            .collect();
+        em_bench::print_row(row, &cells);
+    }
     println!();
     for method in ["random", "dal", "dial", "battleship"] {
         for (tag, labels) in [("mid", mid_labels), ("end", final_labels)] {

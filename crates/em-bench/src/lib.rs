@@ -2,8 +2,14 @@
 //! # em-bench
 //!
 //! The benchmark harness: one binary per table and figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index), plus criterion
+//! evaluation (README's "Quickstart" lists how to run them), plus criterion
 //! micro-benchmarks of the performance-critical substrate pieces.
+//!
+//! Every experiment binary runs on the grid engine: one
+//! [`ExperimentGrid`] per configuration variant, all of a binary's grids
+//! sharing one [`ArtifactCache`], every grid built from
+//! [`BenchArgs::grid_config`] — so every experiment draws the same
+//! repetition stream from one master seed.
 //!
 //! Every binary accepts:
 //!
@@ -26,14 +32,10 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use battleship::{
-    run_active_learning, ArtifactCache, BattleshipStrategy, DalStrategy, DialStrategy,
-    ExperimentConfig, ExperimentGrid, GridConfig, MultiSeedReport, RandomStrategy, RunReport,
-    Scenario, SelectionStrategy, StrategySpec, WeakMethod,
+    ArtifactCache, ExperimentConfig, ExperimentGrid, GridConfig, MultiSeedReport, RunReport,
+    Scenario, StrategySpec,
 };
-use em_core::{Dataset, PerfectOracle, Result, Rng};
-use em_matcher::{FeatureConfig, Featurizer};
-use em_synth::{generate, DatasetProfile};
-use em_vector::Embeddings;
+use em_core::Result;
 
 /// Parse an environment variable, falling back to `default` when unset
 /// or unparsable — the shared knob reader of the gated bench binaries.
@@ -118,8 +120,8 @@ impl Scale {
 pub struct BenchArgs {
     /// Experiment size.
     pub scale: Scale,
-    /// Seeds to average over.
-    pub seeds: Vec<u64>,
+    /// Seeds (repetitions) per experiment cell.
+    pub n_seeds: usize,
     /// Output directory for JSON results.
     pub out_dir: PathBuf,
 }
@@ -166,11 +168,23 @@ impl BenchArgs {
             }
             i += 1;
         }
-        let n = seeds_n.unwrap_or(scale.default_seeds()).max(1);
         BenchArgs {
             scale,
-            seeds: (1..=n as u64).collect(),
+            n_seeds: seeds_n.unwrap_or(scale.default_seeds()).max(1),
             out_dir,
+        }
+    }
+
+    /// The grid configuration every experiment runs under: `experiment`
+    /// for each run, the shared master seed and the requested seed
+    /// count, so every binary draws the same run seeds
+    /// ([`GridConfig::run_seeds`]).
+    pub fn grid_config(&self, experiment: ExperimentConfig, include_baselines: bool) -> GridConfig {
+        GridConfig {
+            experiment,
+            master_seed: MASTER_SEED,
+            n_seeds: self.n_seeds,
+            include_baselines,
         }
     }
 
@@ -274,169 +288,6 @@ pub fn with_provenance(json: &str) -> String {
     }
 }
 
-/// A generated dataset with its precomputed features, shared across
-/// strategies and seeds.
-pub struct PreparedDataset {
-    /// The dataset.
-    pub dataset: Dataset,
-    /// The featurizer (ZeroER needs it).
-    pub featurizer: Featurizer,
-    /// Feature matrix, one row per candidate pair.
-    pub features: Embeddings,
-}
-
-/// Generate and featurize one profile at the given scale.
-pub fn prepare(profile: &DatasetProfile, scale: Scale, gen_seed: u64) -> Result<PreparedDataset> {
-    let scaled = profile.clone().scaled(scale.factor());
-    let dataset = generate(&scaled, &mut Rng::seed_from_u64(gen_seed))?;
-    let featurizer = Featurizer::new(&dataset, FeatureConfig::default())?;
-    let features = featurizer.featurize_all(&dataset)?;
-    Ok(PreparedDataset {
-        dataset,
-        featurizer,
-        features,
-    })
-}
-
-/// Generate and featurize all six benchmark profiles.
-pub fn prepare_all(scale: Scale, gen_seed: u64) -> Result<BTreeMap<String, PreparedDataset>> {
-    let mut out = BTreeMap::new();
-    for profile in em_synth::all_profiles() {
-        let prepared = prepare(&profile, scale, gen_seed)?;
-        out.insert(profile.name.to_string(), prepared);
-    }
-    Ok(out)
-}
-
-/// The active-learning methods compared in Figure 5 / Tables 4–5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Method {
-    /// The paper's approach (α averaged per scale).
-    Battleship,
-    /// Kasai et al.'s entropy-based selection.
-    Dal,
-    /// Jain et al.'s committee-based selection.
-    Dial,
-    /// Uniform random selection.
-    Random,
-}
-
-impl Method {
-    /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Method::Battleship => "battleship",
-            Method::Dal => "dal",
-            Method::Dial => "dial",
-            Method::Random => "random",
-        }
-    }
-
-    /// All four AL methods.
-    pub fn all() -> [Method; 4] {
-        [
-            Method::Battleship,
-            Method::Dal,
-            Method::Dial,
-            Method::Random,
-        ]
-    }
-}
-
-/// Run `method` on a prepared dataset for every seed with the given
-/// config, returning the seed-aggregated report.
-///
-/// For `Method::Battleship`, runs one pass per α in
-/// `scale.battleship_alphas()` and aggregates across (α, seed) — the
-/// paper's §5.1 reporting convention.
-pub fn run_method(
-    prepared: &PreparedDataset,
-    method: Method,
-    config: &ExperimentConfig,
-    alphas: &[f64],
-    seeds: &[u64],
-) -> Result<MultiSeedReport> {
-    let mut runs: Vec<RunReport> = Vec::new();
-    match method {
-        Method::Battleship => {
-            for &alpha in alphas {
-                let mut cfg = config.clone();
-                cfg.battleship.alpha = alpha;
-                for &seed in seeds {
-                    runs.push(run_one(
-                        prepared,
-                        &mut BattleshipStrategy::new(),
-                        &cfg,
-                        seed,
-                    )?);
-                }
-            }
-        }
-        Method::Dal => {
-            for &seed in seeds {
-                runs.push(run_one(prepared, &mut DalStrategy::new(), config, seed)?);
-            }
-        }
-        Method::Dial => {
-            for &seed in seeds {
-                runs.push(run_one(prepared, &mut DialStrategy::new(), config, seed)?);
-            }
-        }
-        Method::Random => {
-            for &seed in seeds {
-                runs.push(run_one(prepared, &mut RandomStrategy::new(), config, seed)?);
-            }
-        }
-    }
-    MultiSeedReport::aggregate(&runs)
-}
-
-/// One (strategy, seed) run.
-pub fn run_one(
-    prepared: &PreparedDataset,
-    strategy: &mut dyn SelectionStrategy,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Result<RunReport> {
-    let oracle = PerfectOracle::new();
-    run_active_learning(
-        &prepared.dataset,
-        &prepared.features,
-        strategy,
-        &oracle,
-        config,
-        seed,
-    )
-}
-
-/// Run a battleship variant with explicit parameter overrides (the
-/// ablation figures).
-pub fn run_battleship_variant(
-    prepared: &PreparedDataset,
-    config: &ExperimentConfig,
-    alpha: f64,
-    beta: f64,
-    weak_supervision: bool,
-    weak_method: WeakMethod,
-    seeds: &[u64],
-) -> Result<MultiSeedReport> {
-    let mut cfg = config.clone();
-    cfg.battleship.alpha = alpha;
-    cfg.battleship.beta = beta;
-    cfg.battleship.weak_method = weak_method;
-    cfg.al.weak_supervision = weak_supervision;
-    let mut runs = Vec::new();
-    for &seed in seeds {
-        runs.push(run_one(
-            prepared,
-            &mut BattleshipStrategy::new(),
-            &cfg,
-            seed,
-        )?);
-    }
-    MultiSeedReport::aggregate(&runs)
-}
-
 /// The serialized output of the Figure 5 sweep, reused by Tables 4/5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig5Results {
@@ -459,9 +310,10 @@ impl Fig5Results {
     }
 }
 
-/// Master seed of the Figure 5 grids; every run seed derives from it
-/// (see `GridConfig::run_seeds`), so one constant reproduces the sweep.
-const FIG5_MASTER_SEED: u64 = 0xF165;
+/// Master seed of every experiment grid (first chosen for Figure 5);
+/// every run seed derives from it (see [`GridConfig::run_seeds`]), so
+/// one constant reproduces every sweep.
+const MASTER_SEED: u64 = 0xF165;
 
 /// Run the full Figure 5 sweep (all datasets × all methods + the two
 /// extremes). This is the workhorse shared by `fig5_f1_curves`,
@@ -482,25 +334,20 @@ pub fn run_fig5(args: &BenchArgs) -> Result<Fig5Results> {
         .into_iter()
         .map(|p| Scenario::synthetic(p.scaled(args.scale.factor()), 0xDA7A))
         .collect();
-    let grid_config = |experiment: ExperimentConfig, baselines: bool| GridConfig {
-        experiment,
-        master_seed: FIG5_MASTER_SEED,
-        n_seeds: args.seeds.len(),
-        include_baselines: baselines,
-    };
     let cache = ArtifactCache::new();
+    let baselines = [StrategySpec::Dal, StrategySpec::Dial, StrategySpec::Random];
 
     // Grid 1: the non-battleship methods plus the ZeroER / Full-D
     // extremes, every (dataset, strategy, seed) cell fanned out at once.
     eprintln!(
         "[fig5] baseline grid: {} datasets × 3 methods (+ extremes) × {} seeds …",
         scenarios.len(),
-        args.seeds.len()
+        args.n_seeds
     );
     let baseline_grid = ExperimentGrid::new(
         scenarios.clone(),
-        vec![StrategySpec::Dal, StrategySpec::Dial, StrategySpec::Random],
-        grid_config(config.clone(), true),
+        baselines.to_vec(),
+        args.grid_config(config.clone(), true),
     );
     let baseline_report = baseline_grid.run_with_cache(&cache)?;
 
@@ -513,7 +360,7 @@ pub fn run_fig5(args: &BenchArgs) -> Result<Fig5Results> {
         let grid = ExperimentGrid::new(
             scenarios.clone(),
             vec![StrategySpec::Battleship],
-            grid_config(cfg, false),
+            args.grid_config(cfg, false),
         );
         for run in grid.run_with_cache(&cache)?.runs {
             battleship_runs
@@ -534,20 +381,16 @@ pub fn run_fig5(args: &BenchArgs) -> Result<Fig5Results> {
             em_core::EmError::InvalidConfig(format!("no battleship runs for `{name}`"))
         })?;
         reports.push(MultiSeedReport::aggregate(runs)?);
-        for method in [Method::Dal, Method::Dial, Method::Random] {
-            let cell = baseline_report.cell(name, method.name()).ok_or_else(|| {
-                em_core::EmError::InvalidConfig(format!(
-                    "no grid cell for ({name}, {})",
-                    method.name()
-                ))
-            })?;
-            reports.push(cell.aggregate.clone());
+        let cell = |label: &str| {
+            baseline_report.cell(name, label).ok_or_else(|| {
+                em_core::EmError::InvalidConfig(format!("no grid cell for ({name}, {label})"))
+            })
+        };
+        for spec in baselines {
+            reports.push(cell(spec.name())?.aggregate.clone());
         }
         for (label, out) in [("zeroer", &mut zeroer), ("full-d", &mut full_d)] {
-            let cell = baseline_report.cell(name, label).ok_or_else(|| {
-                em_core::EmError::InvalidConfig(format!("no grid cell for ({name}, {label})"))
-            })?;
-            let f1 = cell.aggregate.final_f1().ok_or_else(|| {
+            let f1 = cell(label)?.aggregate.final_f1().ok_or_else(|| {
                 em_core::EmError::EmptyInput(format!("({name}, {label}) baseline curve"))
             })?;
             out.insert(name.to_string(), f1);
@@ -612,13 +455,29 @@ mod tests {
     #[test]
     fn prepare_smoke_dataset() {
         let p = em_synth::DatasetProfile::wdc_shoes();
-        let prepared = prepare(&p, Scale::Smoke, 1).unwrap();
-        assert_eq!(prepared.features.len(), prepared.dataset.len());
+        let scenario = Scenario::synthetic(p.scaled(Scale::Smoke.factor()), 1);
+        let artifacts = scenario.materialize().unwrap();
+        assert_eq!(artifacts.dataset.name, "wdc-shoes");
+        assert_eq!(artifacts.features.len(), artifacts.dataset.len());
+    }
+
+    /// The figure and table binaries look cells up by these names.
+    #[test]
+    fn method_names_are_stable() {
+        let names: Vec<&str> = StrategySpec::all().iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["battleship", "dal", "dial", "random"]);
     }
 
     #[test]
-    fn method_names_are_stable() {
-        assert_eq!(Method::Battleship.name(), "battleship");
-        assert_eq!(Method::all().len(), 4);
+    fn grid_config_shares_one_seed_stream() {
+        let args = BenchArgs {
+            scale: Scale::Smoke,
+            n_seeds: 3,
+            out_dir: PathBuf::new(),
+        };
+        let a = args.grid_config(Scale::Smoke.experiment_config(), false);
+        let b = args.grid_config(Scale::Paper.experiment_config(), true);
+        assert_eq!(a.run_seeds().len(), 3);
+        assert_eq!(a.run_seeds(), b.run_seeds());
     }
 }

@@ -12,7 +12,8 @@
 //!   benchmark scale;
 //! * [`AssignmentMode::Flow`] — the exact BBD formulation via
 //!   [`crate::flow::MinCostFlow`]; used in tests and available for small
-//!   instances (see the `ablation_assignment` bench for the trade-off).
+//!   instances (the `kmeans` group of `cargo bench -p em-bench --bench
+//!   micro` times greedy against flow).
 
 // Numeric kernels here walk several parallel arrays by index; the
 // indexed form keeps the lockstep structure visible.

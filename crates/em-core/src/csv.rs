@@ -128,10 +128,19 @@ fn load_pairs_file(
     let l_col = col("ltable_id")?;
     let r_col = col("rtable_id")?;
     let y_col = col("label")?;
+    let width = l_col.max(r_col).max(y_col) + 1;
     let mut out = Vec::with_capacity(rows.len());
     for (line, row) in rows.iter().enumerate().skip(1) {
         if row.iter().all(String::is_empty) {
             continue;
+        }
+        if row.len() < width {
+            return Err(EmError::InvalidConfig(format!(
+                "{} line {}: expected at least {width} fields, got {}",
+                path.display(),
+                line + 1,
+                row.len()
+            )));
         }
         let lookup = |ids: &HashMap<String, RecordId>, key: &str, side: &str| {
             ids.get(key).copied().ok_or_else(|| {
@@ -277,6 +286,19 @@ mod tests {
             "ltable_id,rtable_id,label\na1,b1,maybe\n",
         );
         assert!(load_magellan_dir(&dir, "toy").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn short_split_row_is_an_error_not_a_panic() {
+        let dir = magellan_fixture();
+        write(&dir, "tableA.csv", "id,title\n1,x\n");
+        write(&dir, "tableB.csv", "id,title\n2,y\n");
+        write(&dir, "train.csv", "ltable_id,rtable_id,label\n1,2\n");
+        let err = load_magellan_dir(&dir, "toy").unwrap_err();
+        assert!(matches!(err, EmError::InvalidConfig(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("train.csv line 2"), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

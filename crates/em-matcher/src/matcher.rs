@@ -41,14 +41,14 @@ const PREDICT_CHUNK: usize = 256;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatcherConfig {
     /// Hidden layer widths; the last one is the representation dimension
-    /// (the paper's `[CLS]` vector is 768-d; 96 is plenty for the MLP
-    /// substrate — see DESIGN.md on this substitution).
+    /// (the paper's `[CLS]` vector is 768-d from a fine-tuned RoBERTa;
+    /// this reproduction substitutes an MLP over hashed-token and
+    /// similarity pair features, for which 96 is plenty).
     pub hidden: Vec<usize>,
     /// Training epochs per active-learning iteration. The paper uses 12
     /// (8 for DBLP-Scholar) when *fine-tuning* a pretrained RoBERTa; a
     /// from-scratch MLP needs more optimizer steps to reach its
-    /// asymptote, so the default is higher (see DESIGN.md on the matcher
-    /// substitution).
+    /// asymptote, so the default is higher.
     pub epochs: usize,
     /// Mini-batch size (the paper uses 12; 16 gives the MLP more steps
     /// per epoch at equal cost).

@@ -22,7 +22,8 @@
 //! * [`sparse`] — [`SparseRows`] (compressed sparse rows) and the
 //!   sparse-input layer product behind the matcher's first layer,
 //!   bit-identical to the dense fused GEMM on every tier,
-//! * [`lsh`] — random-hyperplane locality-sensitive hashing, and
+//! * [`lsh`] — random-hyperplane (SimHash) signatures, the bucket keys
+//!   of the blocking tier's LSH candidate extraction, and
 //! * [`hnsw`] — a hierarchical navigable small world index; LSH and HNSW
 //!   implement the approximate-search future work the paper names in §5.2,
 //! * [`policy`] — the [`AnnPolicy`] exact ↔ HNSW routing policy shared by
@@ -52,7 +53,7 @@ pub use kernel::{
     sq_dist_with_tier, top_k_batch, transpose, ulp_diff, with_simd_tier, SimdTier,
 };
 pub use knn::{top_k, top_k_among, Neighbor};
-pub use lsh::{sample_planes, signature_of, signatures, LshConfig, LshIndex, MAX_SIGNATURE_BITS};
+pub use lsh::{sample_planes, signature_of, signatures, MAX_SIGNATURE_BITS};
 pub use pca::Pca;
 pub use policy::{AnnPolicy, DEFAULT_ANN_THRESHOLD};
 pub use sparse::{sparse_gemm_bias_relu, SparseRows, SparseScratch};

@@ -2,67 +2,25 @@
 //!
 //! The paper's §5.2 names LSH (Gionis et al.) as a future-work route to
 //! cut the nearest-neighbour cost of graph construction. This module
-//! implements the classic SimHash family: each table hashes a vector to
-//! the sign pattern of `n_bits` random hyperplane projections; candidates
-//! are the union of same-bucket points over `n_tables` tables, re-ranked
-//! exactly.
+//! implements the signature half of the classic SimHash family: a vector
+//! hashes to the sign pattern of `n_bits` random hyperplane projections,
+//! so vectors at a small angle agree on most bits.
 //!
-//! Besides the table-based [`LshIndex`], the module exposes the raw
-//! signature machinery ([`sample_planes`] / [`signatures`]) consumed by
-//! the blocking tier (`battleship::blocking`), which buckets per-band
-//! signatures over record feature vectors: signatures are computed in
-//! parallel (rayon-chunked over the [`kernel::dot`](crate::kernel::dot)
-//! path), one batch per band.
-
-use std::collections::HashMap;
+//! The blocking tier (`battleship::blocking`) is the consumer: it samples
+//! one plane set per band ([`sample_planes`]), computes per-band
+//! signatures over record feature vectors ([`signatures`], rayon-chunked
+//! over the [`kernel::dot`](crate::kernel::dot) path) and buckets records
+//! by signature to extract candidate pairs.
 
 use rayon::prelude::*;
 
 use em_core::{EmError, Result, Rng};
 
 use crate::embeddings::Embeddings;
-use crate::knn::Neighbor;
 
 /// Widest supported signature: bucket keys are `u64`, one bit per
 /// hyperplane.
 pub const MAX_SIGNATURE_BITS: usize = 64;
-
-/// LSH index parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LshConfig {
-    /// Hyperplanes (= hash bits) per table. More bits → smaller buckets,
-    /// higher precision, lower recall per table.
-    pub n_bits: usize,
-    /// Number of independent tables. More tables → higher recall.
-    pub n_tables: usize,
-    /// RNG seed for hyperplane sampling.
-    pub seed: u64,
-}
-
-impl Default for LshConfig {
-    fn default() -> Self {
-        LshConfig {
-            n_bits: 12,
-            n_tables: 8,
-            seed: 0x15AC,
-        }
-    }
-}
-
-impl LshConfig {
-    fn validate(&self) -> Result<()> {
-        if self.n_bits == 0 || self.n_bits > MAX_SIGNATURE_BITS {
-            return Err(EmError::InvalidConfig(format!(
-                "LSH n_bits must be in 1..={MAX_SIGNATURE_BITS}, got {}",
-                self.n_bits
-            )));
-        }
-        if self.n_tables == 0 {
-            return Err(EmError::InvalidConfig("LSH needs >= 1 table".into()));
-        }
-        Ok(())
-    }
-}
 
 /// Sample `n_bits` hyperplane normals of dimension `dim` from `rng`,
 /// concatenated row-major (`n_bits * dim` floats).
@@ -114,99 +72,9 @@ pub fn signatures(data: &Embeddings, planes: &[f32], n_bits: usize) -> Result<Ve
         .collect())
 }
 
-struct LshTable {
-    /// `n_bits` hyperplane normals, each of dimension `dim`, concatenated.
-    planes: Vec<f32>,
-    buckets: HashMap<u64, Vec<usize>>,
-}
-
-/// An immutable LSH index over a fixed set of embeddings.
-pub struct LshIndex {
-    config: LshConfig,
-    tables: Vec<LshTable>,
-    dim: usize,
-}
-
-impl LshIndex {
-    /// Hash every row of `data` into `config.n_tables` tables.
-    pub fn build(data: &Embeddings, config: LshConfig) -> Result<Self> {
-        config.validate()?;
-        if data.is_empty() {
-            return Err(EmError::EmptyInput("LSH build data".into()));
-        }
-        let dim = data.dim();
-        let mut rng = Rng::seed_from_u64(config.seed);
-        let mut tables = Vec::with_capacity(config.n_tables);
-        for _ in 0..config.n_tables {
-            let planes = sample_planes(config.n_bits, dim, &mut rng);
-            let sigs = signatures(data, &planes, config.n_bits)?;
-            let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (i, &sig) in sigs.iter().enumerate() {
-                buckets.entry(sig).or_default().push(i);
-            }
-            tables.push(LshTable { planes, buckets });
-        }
-        Ok(LshIndex {
-            config,
-            tables,
-            dim,
-        })
-    }
-
-    /// Candidate rows sharing at least one bucket with `query`
-    /// (deduplicated, ascending index order).
-    pub fn candidates(&self, query: &[f32]) -> Result<Vec<usize>> {
-        if query.len() != self.dim {
-            return Err(EmError::DimensionMismatch {
-                context: "LSH query".into(),
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        let mut out = Vec::new();
-        for t in &self.tables {
-            let sig = signature_of(query, &t.planes, self.config.n_bits);
-            if let Some(bucket) = t.buckets.get(&sig) {
-                out.extend_from_slice(bucket);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
-    /// Approximate top-`k`: exact re-ranking of the LSH candidate set.
-    pub fn search(
-        &self,
-        data: &Embeddings,
-        query: &[f32],
-        k: usize,
-        exclude: Option<usize>,
-    ) -> Result<Vec<Neighbor>> {
-        let cands = self.candidates(query)?;
-        let mut hits: Vec<Neighbor> = cands
-            .into_iter()
-            .filter(|&i| exclude != Some(i))
-            .map(|i| Neighbor {
-                index: i,
-                similarity: crate::embeddings::cosine(query, data.row(i)),
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.similarity
-                .partial_cmp(&a.similarity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        hits.truncate(k);
-        Ok(hits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::top_k;
 
     fn clustered_data(n_per: usize) -> Embeddings {
         // Two tight clusters on the unit circle, far apart.
@@ -223,60 +91,15 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_bad_config() {
-        let e = clustered_data(4);
-        assert!(LshIndex::build(
-            &e,
-            LshConfig {
-                n_bits: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(LshIndex::build(
-            &e,
-            LshConfig {
-                n_tables: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(LshIndex::build(
-            &e,
-            LshConfig {
-                n_bits: 65,
-                ..Default::default()
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
     fn full_width_64_bit_signatures_work() {
-        // The u64 bucket-key boundary: 64 planes must build, produce
-        // signatures that exercise the top bit range, and stay
-        // deterministic. (The former 32-bit cap was an artifact of the
-        // old `u32` key type.)
+        // The u64 bucket-key boundary: 64 planes must produce signatures
+        // that exercise the top bit range and stay deterministic. (The
+        // former 32-bit cap was an artifact of the old `u32` key type.)
         let e = clustered_data(20);
-        let cfg = LshConfig {
-            n_bits: 64,
-            n_tables: 2,
-            seed: 9,
-        };
-        let idx = LshIndex::build(&e, cfg).unwrap();
-        let a = idx.candidates(e.row(0)).unwrap();
-        let b = LshIndex::build(&e, cfg)
-            .unwrap()
-            .candidates(e.row(0))
-            .unwrap();
-        assert_eq!(a, b);
-        // A row is always its own candidate: identical signatures.
-        assert!(a.contains(&0));
-
-        // Bits above the old 32-bit cap must actually be populated.
-        let mut rng = Rng::seed_from_u64(9);
-        let planes = sample_planes(64, e.dim(), &mut rng);
+        let planes = sample_planes(64, e.dim(), &mut Rng::seed_from_u64(9));
         let sigs = signatures(&e, &planes, 64).unwrap();
+        assert_eq!(sigs, signatures(&e, &planes, 64).unwrap());
+        // Bits above the old 32-bit cap must actually be populated.
         assert!(
             sigs.iter().any(|&s| s >> 32 != 0),
             "no signature used the high 32 bits"
@@ -307,58 +130,34 @@ mod tests {
         assert!(signatures(&e, &wide, 65).is_err());
     }
 
-    #[test]
-    fn query_dim_checked() {
-        let e = clustered_data(4);
-        let idx = LshIndex::build(&e, LshConfig::default()).unwrap();
-        assert!(idx.candidates(&[1.0, 0.0, 0.0]).is_err());
+    /// Bucket keys of `data` under one `n_bits`-plane set drawn from
+    /// `seed`.
+    fn band(data: &Embeddings, n_bits: usize, seed: u64) -> Vec<u64> {
+        let planes = sample_planes(n_bits, data.dim(), &mut Rng::seed_from_u64(seed));
+        signatures(data, &planes, n_bits).unwrap()
     }
 
     #[test]
     fn candidates_find_own_cluster() {
+        // Candidates of row 0 are the rows sharing its bucket in at least
+        // one of 8 bands: most of its own cluster, none of the other.
         let e = clustered_data(30);
-        let idx = LshIndex::build(&e, LshConfig::default()).unwrap();
-        // Query with a cluster-0 member: most cluster-0 members should be
-        // candidates.
-        let cands = idx.candidates(e.row(0)).unwrap();
-        let in_cluster0 = cands.iter().filter(|&&i| i < 30).count();
+        let mut cands = vec![false; e.len()];
+        for seed in 0..8 {
+            let sigs = band(&e, 12, 0x15AC + seed);
+            for (i, &s) in sigs.iter().enumerate() {
+                cands[i] |= s == sigs[0];
+            }
+        }
+        let in_cluster0 = cands[..30].iter().filter(|&&c| c).count();
         assert!(in_cluster0 >= 25, "found only {in_cluster0} of 30");
-    }
-
-    #[test]
-    fn search_recall_against_exact() {
-        let e = clustered_data(50);
-        let idx = LshIndex::build(&e, LshConfig::default()).unwrap();
-        let exact: Vec<usize> = top_k(&e, e.row(0), 10, Some(0))
-            .into_iter()
-            .map(|n| n.index)
-            .collect();
-        let approx: Vec<usize> = idx
-            .search(&e, e.row(0), 10, Some(0))
-            .unwrap()
-            .into_iter()
-            .map(|n| n.index)
-            .collect();
-        let hit = approx.iter().filter(|i| exact.contains(i)).count();
-        assert!(hit >= 8, "recall@10 too low: {hit}/10");
-    }
-
-    #[test]
-    fn search_excludes_query() {
-        let e = clustered_data(10);
-        let idx = LshIndex::build(&e, LshConfig::default()).unwrap();
-        let hits = idx.search(&e, e.row(3), 5, Some(3)).unwrap();
-        assert!(hits.iter().all(|n| n.index != 3));
+        assert!(cands[30..].iter().all(|&c| !c), "cross-cluster candidate");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let e = clustered_data(20);
-        let a = LshIndex::build(&e, LshConfig::default()).unwrap();
-        let b = LshIndex::build(&e, LshConfig::default()).unwrap();
-        assert_eq!(
-            a.candidates(e.row(5)).unwrap(),
-            b.candidates(e.row(5)).unwrap()
-        );
+        assert_eq!(band(&e, 12, 0x15AC), band(&e, 12, 0x15AC));
+        assert_ne!(band(&e, 12, 0x15AC), band(&e, 12, 0x15AD));
     }
 }

@@ -20,9 +20,10 @@
 //! assert!(dataset.len() > 0);
 //! ```
 //!
-//! See the workspace `README.md` for the architecture overview (the
-//! "Session API" section has the phase diagram) and `DESIGN.md` for the
-//! paper-to-module map.
+//! See the workspace `README.md` for the architecture overview: the
+//! "Crate map" section layers the modules from the paper's algorithm up
+//! to the experiment engine, and the "Session API" section has the
+//! phase diagram.
 
 pub use battleship::api;
 

@@ -5,7 +5,9 @@ use proptest::prelude::*;
 
 use battleship_em::al::{distribute_budget, positive_budget};
 use battleship_em::cluster::{constrained_kmeans, ConstrainedConfig};
-use battleship_em::core::{jaccard, tokenize, BinaryConfusion, F1Curve, Label, Rng, TokenSet};
+use battleship_em::core::{
+    jaccard, load_magellan_dir, tokenize, BinaryConfusion, F1Curve, Label, Rng, TokenSet,
+};
 use battleship_em::graph::{binary_entropy, connected_components, NodeKind, PairGraph};
 use battleship_em::vector::{cosine, AnnPolicy, Embeddings};
 
@@ -232,6 +234,40 @@ proptest! {
             let cu = comps.iter().position(|c| c.contains(&u));
             let cv = comps.iter().position(|c| c.contains(&v));
             prop_assert_eq!(cu, cv);
+        }
+    }
+
+    /// The Magellan loader is total: whatever the five files hold, it
+    /// returns `Ok` or a structured `Err` and never panics. Mode 0 writes
+    /// raw contents, mode 1 prefixes each file with its valid header, and
+    /// mode 2 also fixes valid tables, so the split rows reach the
+    /// row-level checks.
+    #[test]
+    fn magellan_loader_is_total(mode in 0usize..3,
+                                bodies in prop::collection::vec("[0-2a-c,\"\r\n]{0,24}", 5)) {
+        let dir = std::env::temp_dir().join(format!("em-csv-totality-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pairs = "ltable_id,rtable_id,label\n";
+        let files = [
+            ("tableA.csv", "id,title\n"),
+            ("tableB.csv", "id,title\n"),
+            ("train.csv", pairs),
+            ("valid.csv", pairs),
+            ("test.csv", pairs),
+        ];
+        for (i, ((file, header), body)) in files.iter().zip(&bodies).enumerate() {
+            let content = match mode {
+                0 => body.clone(),
+                2 if i < 2 => format!("{header}0,x\n1,y\n2,z\n"),
+                _ => format!("{header}{body}"),
+            };
+            std::fs::write(dir.join(file), content).unwrap();
+        }
+        let loaded = load_magellan_dir(&dir, "totality");
+        std::fs::remove_dir_all(&dir).ok();
+        if let Ok(d) = loaded {
+            let split = d.split();
+            prop_assert_eq!(split.train.len() + split.valid.len() + split.test.len(), d.len());
         }
     }
 }
