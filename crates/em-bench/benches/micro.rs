@@ -238,6 +238,51 @@ fn bench_matcher_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// One epoch of `train_matcher`'s loop on featurized dblp-scholar rows
+/// (the `table4-dblp` profile at 0.15 of Table 3 size, sparse first
+/// layer): the mini-batch backward passes, the AdamW steps and one
+/// validation probe over the validation split.
+fn bench_train_epoch_featurized(c: &mut Criterion) {
+    use em_matcher::{train_matcher, FeatureConfig, Featurizer, MatcherConfig};
+    use em_synth::{generate, DatasetProfile};
+    let d = generate(
+        &DatasetProfile::dblp_scholar().scaled(0.15),
+        &mut Rng::seed_from_u64(1),
+    )
+    .unwrap();
+    let feats = Featurizer::new(&d, FeatureConfig::default())
+        .unwrap()
+        .featurize_all(&d)
+        .unwrap();
+    let (train, valid) = (d.split().train.clone(), d.split().valid.clone());
+    let (train_labels, valid_labels) = (d.ground_truth_of(&train), d.ground_truth_of(&valid));
+    eprintln!(
+        "[micro] train_epoch_featurized: {} train rows, {} validation rows",
+        train.len(),
+        valid.len()
+    );
+    let config = MatcherConfig {
+        epochs: 1,
+        ..Default::default()
+    };
+    let mut group = c.benchmark_group("matcher");
+    group.sample_size(10);
+    group.bench_function("train_epoch_featurized", |b| {
+        b.iter(|| {
+            train_matcher(
+                black_box(&feats),
+                &train,
+                &train_labels,
+                &valid,
+                &valid_labels,
+                &config,
+            )
+            .unwrap()
+        })
+    });
+    group.finish();
+}
+
 /// One AdamW step over the matcher's 81,601 parameters (848 → 96 → 1)
 /// from a state in which every 20th first moment is subnormal: those
 /// parameters saw one gradient and then none until their moments
@@ -339,11 +384,34 @@ fn bench_session_codec(c: &mut Criterion) {
 }
 
 fn bench_kernel_tiers(c: &mut Criterion) {
-    use em_vector::{gemm, kernel, simd_tier, with_simd_tier, SimdTier};
+    use em_vector::{gemm, kernel, simd_tier, with_simd_tier, AdamWScalars, Elementwise, SimdTier};
     let query = gaussian(1, 768, 8);
     let rows = gaussian(8, 768, 9);
     let a = gaussian(64, 96, 10);
     let bm = gaussian(16, 96, 11);
+    // The AdamW element update over the matcher's 81,601 parameters,
+    // late in training (bias corrections of step 900), with every 20th
+    // first moment subnormal and every 20th gradient zero.
+    let n = 848 * 96 + 96 + 96 + 1;
+    let mut rng = Rng::seed_from_u64(13);
+    let params: Vec<f32> = (0..n).map(|_| rng.normal() as f32 * 0.05).collect();
+    let mut grads: Vec<f32> = (0..n).map(|_| rng.normal() as f32 * 1e-3).collect();
+    let mut m: Vec<f32> = (0..n).map(|_| rng.normal() as f32 * 1e-4).collect();
+    for i in (0..n).step_by(20) {
+        grads[i] = 0.0;
+        m[i] = -1.0e-40;
+    }
+    let v: Vec<f32> = (0..n).map(|_| rng.f32() * 1e-6).collect();
+    let mask = vec![true; n];
+    let scalars = AdamWScalars {
+        beta1: 0.9,
+        beta2: 0.999,
+        bc1: 1.0 - 0.9f32.powi(900),
+        bc2: 1.0 - 0.999f32.powi(900),
+        lr: 8e-3,
+        eps: 1e-8,
+        wd: 1e-4,
+    };
     let detected = simd_tier();
     let mut group = c.benchmark_group("kernel_tiers");
     for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
@@ -379,6 +447,21 @@ fn bench_kernel_tiers(c: &mut Criterion) {
                 })
             },
         );
+        group.bench_with_input(
+            BenchmarkId::new("adamw_update_81k", tier.name()),
+            &tier,
+            |b, &tier| {
+                let ew = with_simd_tier(tier, Elementwise::dispatched);
+                b.iter_batched(
+                    || (params.clone(), m.clone(), v.clone()),
+                    |(mut p, mut m, mut v)| {
+                        ew.adamw_update(scalars, &mut p, black_box(&grads), &mut m, &mut v, &mask);
+                        (p, m, v)
+                    },
+                    BatchSize::LargeInput,
+                )
+            },
+        );
     }
     group.finish();
 }
@@ -391,6 +474,7 @@ criterion_group!(
     bench_graph,
     bench_gmm,
     bench_matcher_step,
+    bench_train_epoch_featurized,
     bench_adamw_step,
     bench_session_codec,
     bench_kernel_tiers

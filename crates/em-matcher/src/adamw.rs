@@ -3,14 +3,17 @@
 //! The paper trains DITTO "with AdamW optimizer with a learning rate of
 //! 3e-5" (§4.2). Our MLP substrate uses the same optimizer (at an
 //! MLP-appropriate learning rate).
+//!
+//! [`AdamW`] owns the moments and the step counter; a step computes
+//! the bias corrections, reads the SIMD tier once, splits the flat
+//! vectors into contiguous ranges across the rayon pool and runs each
+//! range through [`em_vector::Elementwise::adamw_update`], the one copy
+//! of the element update. That kernel is bit-identical on every tier,
+//! so the parameters do not depend on the tier or the thread count.
 
 use em_core::{EmError, Result};
+use em_vector::{AdamWScalars, Elementwise};
 use rayon::prelude::*;
-
-/// Exponent field of an `f32`: all zero for ±0 and subnormals.
-const EXPONENT_BITS: u32 = 0x7F80_0000;
-/// Sign bit of an `f32`.
-const SIGN_BIT: u32 = 0x8000_0000;
 
 /// Parameters per parallel range of an [`AdamW::step`]. A multiple of 16
 /// floats, so no cache line is written by two threads; a vector of one
@@ -39,9 +42,9 @@ impl AdamW {
         if lr <= 0.0 || !lr.is_finite() {
             return Err(EmError::InvalidConfig(format!("lr {lr} must be > 0")));
         }
-        if weight_decay < 0.0 {
+        if !weight_decay.is_finite() || weight_decay < 0.0 {
             return Err(EmError::InvalidConfig(format!(
-                "weight_decay {weight_decay} must be >= 0"
+                "weight_decay {weight_decay} must be finite and >= 0"
             )));
         }
         Ok(AdamW {
@@ -89,11 +92,12 @@ impl AdamW {
     /// holds zero where the IEEE one keeps decaying).
     ///
     /// The update is elementwise, so a large vector is split into
-    /// contiguous ranges that run across the rayon pool with every bit
-    /// unchanged.
+    /// contiguous ranges that run across the rayon pool, each through
+    /// [`Elementwise::adamw_update`] on the tier read once per step;
+    /// neither the split nor the tier changes a bit.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32], decay_mask: &[bool]) -> Result<()> {
         let (bc1, bc2) = self.begin_step(params.len(), grads.len(), decay_mask.len())?;
-        let k = StepConsts {
+        let k = AdamWScalars {
             beta1: self.beta1,
             beta2: self.beta2,
             bc1,
@@ -102,6 +106,7 @@ impl AdamW {
             eps: self.eps,
             wd: self.weight_decay,
         };
+        let ew = Elementwise::dispatched();
         let ranges: Vec<_> = params
             .chunks_mut(RANGE)
             .zip(grads.chunks(RANGE))
@@ -110,7 +115,7 @@ impl AdamW {
             .collect();
         ranges
             .into_par_iter()
-            .for_each(|(((p, g), (m, v)), mask)| k.update(p, g, m, v, mask));
+            .for_each(|(((p, g), (m, v)), mask)| ew.adamw_update(k, p, g, m, v, mask));
         Ok(())
     }
 
@@ -158,77 +163,6 @@ impl AdamW {
             1.0 - self.beta1.powi(self.t as i32),
             1.0 - self.beta2.powi(self.t as i32),
         ))
-    }
-}
-
-/// The scalars one [`AdamW::step`] applies to every element.
-#[derive(Clone, Copy)]
-struct StepConsts {
-    beta1: f32,
-    beta2: f32,
-    /// Bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ`.
-    bc1: f32,
-    bc2: f32,
-    lr: f32,
-    eps: f32,
-    wd: f32,
-}
-
-impl StepConsts {
-    /// Update one contiguous range of parameters and moments. The scalars
-    /// arrive by value: the same loop in a closure capturing them by
-    /// reference was not vectorized and measured ~4× slower.
-    fn update(
-        self,
-        params: &mut [f32],
-        grads: &[f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        mask: &[bool],
-    ) {
-        let StepConsts {
-            beta1,
-            beta2,
-            bc1,
-            bc2,
-            lr,
-            eps,
-            wd,
-        } = self;
-        // Branch-free element update (the decay mask and the subnormal
-        // flush fold to bit masks), all inputs walked in lockstep with
-        // bounds checks elided — the loop body has no loop-borne
-        // dependency, so LLVM vectorizes it (vsqrtps/vdivps included).
-        // This step runs once per mini-batch over every parameter; as a
-        // flat O(n_params) cost it is shared by both matcher engines and
-        // sits on the training hot path.
-        let iter = params
-            .iter_mut()
-            .zip(grads)
-            .zip(m.iter_mut().zip(v.iter_mut()))
-            .zip(mask);
-        for (((p, &g), (m, v)), &mask) in iter {
-            // Clearing all but the sign bit is one AND with a mask; a
-            // select between two bit patterns costs SSE2 twice as much.
-            let bits = m.to_bits();
-            let flush = if bits & EXPONENT_BITS == 0 {
-                !SIGN_BIT
-            } else {
-                0
-            };
-            let m_prev = f32::from_bits(bits & !flush);
-            // The new moments stay in registers: re-reading `*m` after
-            // the store to `*v` would cost a load per vector.
-            let m_new = beta1 * m_prev + (1.0 - beta1) * g;
-            let v_new = beta2 * *v + (1.0 - beta2) * g * g;
-            *m = m_new;
-            *v = v_new;
-            let m_hat = m_new / bc1;
-            let v_hat = v_new / bc2;
-            let decay = if mask { wd } else { 0.0 };
-            let update = m_hat / (v_hat.sqrt() + eps) + decay * *p;
-            *p -= lr * update;
-        }
     }
 }
 
@@ -488,6 +422,14 @@ mod tests {
     fn validates_inputs() {
         assert!(AdamW::new(1, 0.0, 0.0).is_err());
         assert!(AdamW::new(1, 0.1, -1.0).is_err());
+        // A non-finite decay would turn every decayed parameter into NaN
+        // on the first step.
+        for wd in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(AdamW::new(1, 0.1, wd).is_err(), "weight_decay {wd}");
+        }
+        for lr in [f32::NAN, f32::INFINITY] {
+            assert!(AdamW::new(1, lr, 0.0).is_err(), "lr {lr}");
+        }
         let mut opt = AdamW::new(2, 0.1, 0.0).unwrap();
         let mut x = vec![0.0f32; 2];
         assert!(opt.step(&mut x, &[1.0], &[true, true]).is_err());

@@ -13,11 +13,17 @@
 //! inputs by the training rows' density (sparse ones are packed into
 //! [`SparseRows`] once), then each step goes through
 //! [`Mlp::backward_batch_sparse`] or [`Mlp::backward_batch`] over one
-//! reusable [`MlpWorkspace`];
-//! the per-epoch validation probe evaluates F1 through a borrowed
-//! batched forward pass (no `mlp.clone()`, no throwaway matcher); and
+//! reusable [`MlpWorkspace`] and one [`AdamW::step`]. The backward's
+//! axpy rows and the whole optimizer update run on
+//! [`em_vector::Elementwise`] at the dispatched SIMD width, and the
+//! step splits its update into ranges across the rayon pool; both are
+//! bit-identical to the serial baseline-width loops. The per-epoch
+//! validation probe packs the validation rows once into
+//! `PREDICT_CHUNK`-row chunks and forwards them across the pool
+//! through borrowed batched passes (no `mlp.clone()`, no throwaway
+//! matcher), reassembling the labels in index order; and
 //! [`TrainedMatcher::predict`] packs the requested rows and fans
-//! the forward passes out over rayon chunks — bit-identical to the
+//! the forward passes out over the same chunks — bit-identical to the
 //! per-row [`TrainedMatcher::predict_one`] path, chunked or not (the
 //! golden tests below assert it). The seed's scalar loop lives on in
 //! [`crate::reference`] as the benchmark baseline.
@@ -86,8 +92,11 @@ impl MatcherConfig {
         if self.batch_size == 0 {
             return Err(EmError::InvalidConfig("batch_size must be > 0".into()));
         }
-        if self.temperature <= 0.0 {
-            return Err(EmError::InvalidConfig("temperature must be > 0".into()));
+        if !self.temperature.is_finite() || self.temperature <= 0.0 {
+            return Err(EmError::InvalidConfig(format!(
+                "temperature {} must be finite and > 0",
+                self.temperature
+            )));
         }
         Ok(())
     }
@@ -237,9 +246,9 @@ impl TrainedMatcher {
     /// malformed shapes (parameter count not matching the architecture)
     /// or an invalid temperature.
     pub fn from_snapshot(snapshot: &MatcherSnapshot) -> Result<TrainedMatcher> {
-        if snapshot.temperature <= 0.0 {
+        if !snapshot.temperature.is_finite() || snapshot.temperature <= 0.0 {
             return Err(EmError::InvalidConfig(format!(
-                "matcher snapshot temperature must be > 0, got {}",
+                "matcher snapshot temperature must be finite and > 0, got {}",
                 snapshot.temperature
             )));
         }
@@ -294,13 +303,8 @@ impl TrainedMatcher {
             .par_iter()
             .map(|&chunk| {
                 let mut ws = MlpWorkspace::new();
-                let (logits, reprs) = if self.mlp.sparse_input() {
-                    let rows = SparseRows::from_rows(features, chunk)?;
-                    self.mlp.forward_batch_sparse(&rows, &mut ws)?
-                } else {
-                    let rows = pack_rows(features, chunk);
-                    self.mlp.forward_batch(&rows, chunk.len(), &mut ws)?
-                };
+                let rows = PackedRows::new(&self.mlp, features, chunk)?;
+                let (logits, reprs) = rows.forward(&self.mlp, &mut ws)?;
                 let mut preds = Vec::with_capacity(chunk.len());
                 for &logit in logits {
                     let prob = apply_temperature(sigmoid(logit), self.temperature)?;
@@ -338,6 +342,35 @@ impl TrainedMatcher {
         let out = self.predict(features, indices)?;
         let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
         Ok(BinaryConfusion::from_labels(&predicted, truth)?.metrics())
+    }
+}
+
+/// One chunk of rows packed for a batched forward pass: sparse for a
+/// sparse-input network, dense row-major otherwise.
+enum PackedRows {
+    Sparse(SparseRows),
+    Dense { xs: Vec<f32>, rows: usize },
+}
+
+impl PackedRows {
+    /// Pack rows `idx` of `features` for `mlp`'s first-layer layout.
+    fn new(mlp: &Mlp, features: &Embeddings, idx: &[usize]) -> Result<PackedRows> {
+        Ok(if mlp.sparse_input() {
+            PackedRows::Sparse(SparseRows::from_rows(features, idx)?)
+        } else {
+            PackedRows::Dense {
+                xs: pack_rows(features, idx),
+                rows: idx.len(),
+            }
+        })
+    }
+
+    /// The batched forward pass over these rows: `(logits, reprs)`.
+    fn forward<'w>(&self, mlp: &Mlp, ws: &'w mut MlpWorkspace) -> Result<(&'w [f32], &'w [f32])> {
+        match self {
+            PackedRows::Sparse(rows) => mlp.forward_batch_sparse(rows, ws),
+            PackedRows::Dense { xs, rows } => mlp.forward_batch(xs, *rows, ws),
+        }
     }
 }
 
@@ -400,22 +433,21 @@ pub fn train_matcher(
     let sparse_input = density(features, train_idx) < DENSE_INPUT_DENSITY;
     mlp.set_sparse_input(sparse_input);
 
-    // The train and validation rows never change. For sparse inputs,
-    // pack their nonzeros once: each mini-batch gathers its rows from
-    // the packed set, and every epoch's probe reuses the validation
-    // batch (and the training workspace). Dense inputs read the training
-    // rows in place and pack the validation rows once.
+    // The train and validation rows never change, so they are packed
+    // once. For sparse inputs each mini-batch gathers its rows from the
+    // packed training set; dense inputs read the training rows in place.
+    // The validation rows are packed in `PREDICT_CHUNK`-row chunks that
+    // every epoch's probe forwards across the pool.
     let dim = features.dim();
-    let (train_rows, valid_rows, valid_xs) = if sparse_input {
-        (
-            SparseRows::from_rows(features, train_idx)?,
-            SparseRows::from_rows(features, valid_idx)?,
-            Vec::new(),
-        )
+    let train_rows = if sparse_input {
+        SparseRows::from_rows(features, train_idx)?
     } else {
-        let valid_xs = pack_rows(features, valid_idx);
-        (SparseRows::new(dim), SparseRows::new(dim), valid_xs)
+        SparseRows::new(dim)
     };
+    let valid_chunks = valid_idx
+        .chunks(PREDICT_CHUNK)
+        .map(|chunk| PackedRows::new(&mlp, features, chunk))
+        .collect::<Result<Vec<_>>>()?;
     let mut batch = SparseRows::new(dim);
     let mut opt = AdamW::new(mlp.n_params(), config.lr, config.weight_decay)?;
     let decay_mask = mlp.decay_mask().to_vec();
@@ -444,23 +476,32 @@ pub fn train_matcher(
             }
             opt.step(mlp.params_mut(), &grads, &decay_mask)?;
         }
-        // Best-epoch selection on validation F1 (paper §4.2) through a
-        // borrowed batched forward pass — no network clone, no throwaway
-        // matcher. Labels come from `sigmoid(logit) ≥ 0.5` — the exact
-        // threshold `Prediction::from_prob` applies, including f32
+        // Best-epoch selection on validation F1 (paper §4.2) through
+        // borrowed batched forward passes — no network clone, no
+        // throwaway matcher. The chunks run across the pool as in
+        // `TrainedMatcher::predict` and their labels are reassembled in
+        // index order; rows are independent, so the labels do not depend
+        // on the split. Labels come from `sigmoid(logit) ≥ 0.5` — the
+        // exact threshold `Prediction::from_prob` applies, including f32
         // rounding at the boundary — and temperature sharpening is
         // monotone with fixed point 0.5, so the resulting F1 is
         // identical to the full prediction path's.
         if !valid_idx.is_empty() {
-            let (logits, _) = if sparse_input {
-                mlp.forward_batch_sparse(&valid_rows, &mut ws)?
-            } else {
-                mlp.forward_batch(&valid_xs, valid_idx.len(), &mut ws)?
-            };
-            let predicted: Vec<Label> = logits
-                .iter()
-                .map(|&z| Label::from_bool(sigmoid(z) >= 0.5))
+            let parts: Vec<Result<Vec<Label>>> = valid_chunks
+                .par_iter()
+                .map(|rows| {
+                    let mut ws = MlpWorkspace::new();
+                    let (logits, _) = rows.forward(&mlp, &mut ws)?;
+                    Ok(logits
+                        .iter()
+                        .map(|&z| Label::from_bool(sigmoid(z) >= 0.5))
+                        .collect())
+                })
                 .collect();
+            let mut predicted = Vec::with_capacity(valid_idx.len());
+            for part in parts {
+                predicted.extend(part?);
+            }
             let f1 = BinaryConfusion::from_labels(&predicted, valid_labels)?
                 .metrics()
                 .f1;
@@ -740,6 +781,41 @@ mod tests {
     }
 
     #[test]
+    fn split_probe_trains_the_serial_bits() {
+        // A validation set spanning four probe chunks, the last one
+        // partial: the pool and `serial_scope` must keep the same
+        // epoch, F1 and parameter bits.
+        let d = generate(
+            &DatasetProfile::dblp_scholar().scaled(0.15),
+            &mut Rng::seed_from_u64(3),
+        )
+        .unwrap();
+        let feats = Featurizer::new(&d, FeatureConfig::default())
+            .unwrap()
+            .featurize_all(&d)
+            .unwrap();
+        let rows = &d.split().train;
+        let train = rows[..240].to_vec();
+        let valid = rows[240..240 + 3 * PREDICT_CHUNK + 57].to_vec();
+        let (train_labels, valid_labels) = (d.ground_truth_of(&train), d.ground_truth_of(&valid));
+        let cfg = MatcherConfig {
+            epochs: 6,
+            ..Default::default()
+        };
+        let train_on =
+            || train_matcher(&feats, &train, &train_labels, &valid, &valid_labels, &cfg).unwrap();
+        let pool = train_on();
+        let serial = rayon::serial_scope(train_on);
+        assert_eq!(pool.best_epoch, serial.best_epoch);
+        assert_eq!(pool.best_valid_f1.to_bits(), serial.best_valid_f1.to_bits());
+        assert!(pool.best_valid_f1 > 0.0);
+        let bits = |m: &TrainedMatcher| -> Vec<u32> {
+            m.to_snapshot().params.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&pool), bits(&serial));
+    }
+
+    #[test]
     fn borrowed_probe_matches_reference_epoch_selection() {
         // The borrowed validation probe must select the same best epoch
         // and report the same best F1 as the seed's clone-based probe on
@@ -794,9 +870,14 @@ mod tests {
         let mut bad = snap.clone();
         bad.params.pop();
         assert!(TrainedMatcher::from_snapshot(&bad).is_err());
-        let mut bad = snap;
-        bad.temperature = 0.0;
-        assert!(TrainedMatcher::from_snapshot(&bad).is_err());
+        for t in [0.0, f32::NAN, f32::INFINITY] {
+            let mut bad = snap.clone();
+            bad.temperature = t;
+            assert!(
+                TrainedMatcher::from_snapshot(&bad).is_err(),
+                "temperature {t}"
+            );
+        }
     }
 
     #[test]
@@ -872,6 +953,23 @@ mod tests {
             ..Default::default()
         };
         assert!(train_matcher(&feats, &train, &train_labels, &[], &[], &bad).is_err());
+        // A non-finite temperature or weight decay is rejected before
+        // training, not at the first `predict`.
+        for t in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let bad = MatcherConfig {
+                temperature: t,
+                ..Default::default()
+            };
+            assert!(bad.validate().is_err(), "temperature {t}");
+            assert!(train_matcher(&feats, &train, &train_labels, &[], &[], &bad).is_err());
+        }
+        for wd in [f32::NAN, f32::INFINITY] {
+            let bad = MatcherConfig {
+                weight_decay: wd,
+                ..Default::default()
+            };
+            assert!(train_matcher(&feats, &train, &train_labels, &[], &[], &bad).is_err());
+        }
         // Out-of-range train/valid rows are structured errors, not panics.
         assert!(train_matcher(&feats, &[999_999], &[Label::Match], &[], &[], &cfg).is_err());
         assert!(train_matcher(

@@ -40,8 +40,13 @@
 //!   contract over the batch / output-unit dimensions, far too short for
 //!   a dot-reduction kernel to amortize, so they run in outer-product
 //!   (rank-1 update) order: data-parallel axpy rows with no loop-borne
-//!   dependency, vectorizing at full width on any tier, with dead ReLU
-//!   units skipping their rows and zero inputs skipping theirs.
+//!   dependency, with dead ReLU units skipping their rows and zero
+//!   inputs skipping theirs. Every axpy row and the final `1/batch`
+//!   scaling run on [`em_vector::Elementwise`], the tier read once per
+//!   pass: the crate forbids `unsafe`, so a loop written here would be
+//!   compiled for the target's baseline (SSE2 on x86-64), while the
+//!   elementwise kernels run at the dispatched width and are
+//!   bit-identical on every tier.
 //!
 //! The batched forward is the only forward: [`Mlp::forward`] is a
 //! one-row batch, so per-row and batched prediction agree bit for bit.
@@ -54,7 +59,9 @@
 // indexed form keeps the lockstep structure visible.
 #![allow(clippy::needless_range_loop)]
 use em_core::{EmError, Result, Rng};
-use em_vector::{gemm_bias_relu, sparse_gemm_bias_relu, transpose, SparseRows, SparseScratch};
+use em_vector::{
+    gemm_bias_relu, sparse_gemm_bias_relu, transpose, Elementwise, SparseRows, SparseScratch,
+};
 
 /// Share of nonzero training inputs below which
 /// [`crate::train_matcher`] stores the first layer for the sparse
@@ -533,6 +540,7 @@ impl Mlp {
         grads.resize(self.params.len(), 0.0);
         let n_layers = self.layers.len();
         let batch_inv = 1.0 / batch as f32;
+        let ew = Elementwise::dispatched();
 
         // Borrow the workspace fields disjointly for the backward loop.
         let MlpWorkspace {
@@ -560,7 +568,7 @@ impl Mlp {
         for li in (1..n_layers).rev() {
             let spec = self.layers[li];
             let prev_act = &acts[li - 1];
-            dense_weight_grad(spec, delta, prev_act, batch, grads);
+            dense_weight_grad(ew, spec, delta, prev_act, batch, grads);
             // Delta propagation: Δ'[s, i] = Σ_o Δ[s, o] · W[o, i], gated
             // by the ReLU derivative (prev activation > 0). Same
             // rank-1-update order (the contraction is over output units,
@@ -576,12 +584,7 @@ impl Mlp {
                         continue;
                     }
                     let wrow = spec.w_off + o * spec.in_dim;
-                    for (pd, &w) in out_row
-                        .iter_mut()
-                        .zip(&self.params[wrow..wrow + spec.in_dim])
-                    {
-                        *pd += d * w;
-                    }
+                    ew.axpy(d, &self.params[wrow..wrow + spec.in_dim], out_row);
                 }
                 let arow = &prev_act[s * spec.in_dim..(s + 1) * spec.in_dim];
                 for (pd, &a) in out_row.iter_mut().zip(arow) {
@@ -606,9 +609,7 @@ impl Mlp {
                 let (idx, val) = xs.row(s);
                 for (&i, &a) in idx.iter().zip(val) {
                     let grow = first.w_off + i * first.out_dim;
-                    for (g, &d) in grads[grow..grow + first.out_dim].iter_mut().zip(drow) {
-                        *g += d * a;
-                    }
+                    ew.axpy(a, drow, &mut grads[grow..grow + first.out_dim]);
                 }
                 for (g, &d) in grads[first.b_off..first.b_off + first.out_dim]
                     .iter_mut()
@@ -618,11 +619,9 @@ impl Mlp {
                 }
             }
         } else {
-            dense_weight_grad(first, delta, dense_x, batch, grads);
+            dense_weight_grad(ew, first, delta, dense_x, batch, grads);
         }
-        for g in grads.iter_mut() {
-            *g *= batch_inv;
-        }
+        ew.scale(batch_inv, grads);
         total_loss * batch_inv
     }
 }
@@ -643,11 +642,12 @@ fn check_targets(batch: usize, targets: &[f32], sample_weights: &[f32]) -> Resul
 /// `∂b += Δᵀ·1` (unscaled). The contraction dimension is the batch —
 /// far too short for a dot-reduction GEMM to amortize — so this runs the
 /// product in outer-product (rank-1 update) order: one data-parallel
-/// axpy row per (sample, live output unit). Those rows carry no
-/// loop-borne dependency, so they vectorize at full width on any tier,
-/// the per-entry reduction is in sample order (the seed's), and dead
-/// ReLU units (`d == 0`) skip their whole row.
+/// axpy row per (sample, live output unit), each one
+/// [`Elementwise::axpy`] at the dispatched tier's full width. The
+/// per-entry reduction is in sample order (the seed's), and dead ReLU
+/// units (`d == 0`) skip their whole row.
 fn dense_weight_grad(
+    ew: Elementwise,
     spec: LayerSpec,
     delta: &[f32],
     prev_act: &[f32],
@@ -662,9 +662,7 @@ fn dense_weight_grad(
                 continue;
             }
             let wrow = spec.w_off + o * spec.in_dim;
-            for (g, &a) in grads[wrow..wrow + spec.in_dim].iter_mut().zip(arow) {
-                *g += d * a;
-            }
+            ew.axpy(d, arow, &mut grads[wrow..wrow + spec.in_dim]);
             grads[spec.b_off + o] += d;
         }
     }

@@ -91,6 +91,14 @@
 //! shape as everywhere else: each output entry is exactly one
 //! [`dot`]-recipe evaluation, so `gemm`/`gram` entries are bit-identical
 //! to standalone `dot` calls *on the same tier*.
+//!
+//! # Elementwise contract (every tier)
+//!
+//! The kernels in [`crate::elementwise`] (the AdamW update, axpy,
+//! scale) have no reduction: each output element is one fixed sequence
+//! of correctly rounded multiplies, adds, divides, square roots and
+//! selects, with no FMA. The tier changes only how many elements run at
+//! once, so they are **bit-identical on every tier**, AVX-512 included.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

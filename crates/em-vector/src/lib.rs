@@ -19,6 +19,10 @@
 //!   unrolled squared distances, parallelized with rayon and
 //!   runtime-dispatched to AVX2 where available (bit-identical across
 //!   tiers — see the module docs),
+//! * [`elementwise`] — the matcher's training loops (the AdamW update,
+//!   `y += a·x`, `y *= a`) compiled per tier behind [`Elementwise`];
+//!   with no reduction and no FMA they are bit-identical on every tier,
+//!   AVX-512 included,
 //! * [`sparse`] — [`SparseRows`] (compressed sparse rows) and the
 //!   sparse-input layer product behind the matcher's first layer,
 //!   bit-identical to the dense fused GEMM on every tier,
@@ -36,6 +40,7 @@
 //!   exaggeration, sufficient for the benchmark-sized pair sets of
 //!   Figure 1.
 
+pub mod elementwise;
 pub mod embeddings;
 pub mod hnsw;
 pub mod kernel;
@@ -46,6 +51,7 @@ pub mod policy;
 pub mod sparse;
 pub mod tsne;
 
+pub use elementwise::{AdamWScalars, Elementwise};
 pub use embeddings::{cosine, dot, norm, normalize, Embeddings};
 pub use hnsw::{Hnsw, HnswConfig, HnswScratch};
 pub use kernel::{
