@@ -1,16 +1,18 @@
 //! Fault-tolerance properties of the serve layer: the retry schedule
 //! is deterministic and triple-bounded, generational recovery never
 //! panics on arbitrary garbage frames (it quarantines and falls back),
-//! and a store over a fault-injecting backend rides transient faults
-//! out without losing a session.
+//! a store over a fault-injecting backend rides transient faults out
+//! without losing a session, and random store op sequences agree with
+//! a sequential model of the sessions.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use battleship_em::al::ExperimentConfig;
 use battleship_em::api::{
-    ArtifactCache, Fault, FaultPlan, FaultyBackend, Label, MatchSession, MemoryBackend, PairIdx,
-    RetryPolicy, Scenario, SessionConfig, SessionPhase, SessionStore, SnapshotBackend,
-    SnapshotCodec, StrategySpec,
+    ArtifactCache, DatasetArtifacts, Fault, FaultPlan, FaultyBackend, Label, MatchSession,
+    MemoryBackend, PairIdx, RetryPolicy, RunReport, Scenario, SessionConfig, SessionPhase,
+    SessionSnapshot, SessionStatus, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
 use battleship_em::core::EmError;
 use proptest::prelude::*;
@@ -88,6 +90,15 @@ fn drive_stored(store: &SessionStore, id: &str) {
             }
         }
     }
+}
+
+/// Zero a report's wall-clock fields for equality comparison.
+fn strip(mut r: RunReport) -> RunReport {
+    for it in &mut r.iterations {
+        it.train_secs = 0.0;
+        it.select_secs = 0.0;
+    }
+    r
 }
 
 /// Split proptest-drawn byte values into `n` (possibly empty) frames.
@@ -277,4 +288,312 @@ fn store_over_faulty_backend_completes_under_transient_chaos() {
     let stats = backend.stats();
     assert!(stats.transient > 0, "fault plan injected nothing — vacuous");
     assert!(stats.torn_writes >= 1 && stats.corruptions >= 1);
+}
+
+// ---- model-based store test ----------------------------------------------
+
+/// The scenario's artifacts, borrowed for `'static` from the shared
+/// cache so model sessions can live in the model map.
+fn artifacts() -> &'static DatasetArtifacts {
+    static ART: OnceLock<Arc<DatasetArtifacts>> = OnceLock::new();
+    ART.get_or_init(|| shared_cache().get_or_materialize(&scenario()).unwrap())
+}
+
+/// One session as the sequential model sees it: the session driven
+/// without the store, plus the last snapshot the store acknowledged
+/// persisting (what a crash falls back to).
+struct ModelSession {
+    session: MatchSession<'static>,
+    persisted: Option<SessionSnapshot>,
+}
+
+impl ModelSession {
+    fn status(&self, id: &str) -> SessionStatus {
+        SessionStatus {
+            id: id.to_string(),
+            scenario: scenario().name().to_string(),
+            phase: self.session.phase(),
+            labels_used: self.session.labels_used(),
+            pool_remaining: self.session.pool_remaining(),
+            iterations: self.session.records().len(),
+        }
+    }
+
+    /// The session as a crash leaves it: its last persisted state, or
+    /// nothing when it was never persisted.
+    fn after_crash(self) -> Option<ModelSession> {
+        let snapshot = self.persisted?;
+        let art = artifacts();
+        let session = MatchSession::restore(&art.dataset, &art.features, &snapshot).unwrap();
+        Some(ModelSession {
+            session,
+            persisted: Some(snapshot),
+        })
+    }
+}
+
+/// One generated store operation (`kind`, session slot, free argument).
+type ModelOp = (u8, u8, u64);
+
+/// A store over `backend` as a restarted process opens it.
+fn model_store(backend: &Arc<FaultyBackend<MemoryBackend>>) -> SessionStore {
+    let store = SessionStore::with_cache(
+        Box::new(backend.clone()),
+        SnapshotCodec::Binary,
+        shared_cache(),
+    )
+    .with_retry_policy(RetryPolicy {
+        max_attempts: 2,
+        base_delay_micros: 1,
+        max_delay_micros: 10,
+        total_budget_micros: 100,
+        ..RetryPolicy::default()
+    });
+    store.register_scenario(scenario());
+    store
+}
+
+/// Retry `op` past injected faults (the bounded retry policy lets some
+/// surface); any other error is returned.
+fn past_faults<T>(mut op: impl FnMut() -> Result<T, EmError>) -> Result<T, EmError> {
+    for _ in 0..200 {
+        match op() {
+            Err(e) if e.is_transient() => continue,
+            other => return other,
+        }
+    }
+    panic!("200 consecutive injected faults");
+}
+
+/// Compare one store outcome against the model's. A transient error
+/// (an injected fault the retry policy gave up on) leaves the store
+/// untouched, so the model op is not run; otherwise both must agree.
+/// Returns whether the op was applied.
+fn agree<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    store: Result<T, EmError>,
+    model: impl FnOnce() -> Result<T, EmError>,
+) -> bool {
+    match store {
+        Err(e) if e.is_transient() => return false,
+        Err(EmError::InvalidConfig(_)) | Ok(_) => {}
+        Err(e) => panic!("{what}: unstructured store error {e}"),
+    }
+    match (store, model()) {
+        (Ok(s), Ok(m)) => assert_eq!(s, m, "{what}: store and model disagree"),
+        (Err(_), Err(EmError::InvalidConfig(_))) => {}
+        (s, m) => panic!(
+            "{what}: store gave {:?}, model {:?}",
+            s.map(|_| ()),
+            m.map(|_| ())
+        ),
+    }
+    true
+}
+
+fn unknown(id: &str) -> EmError {
+    EmError::InvalidConfig(format!("no session `{id}` in the model"))
+}
+
+/// Run `ops` against a store over a faulty in-memory backend and against
+/// the sequential model, checking every outcome; then finish every
+/// session on both sides and compare the reports.
+fn run_store_model(fault_seed: u64, ops: &[ModelOp]) {
+    let art = artifacts();
+    let backend = Arc::new(FaultyBackend::new(
+        MemoryBackend::new(),
+        FaultPlan {
+            transient_rate: 0.1,
+            crash_rate: 0.1,
+            ..FaultPlan::none(fault_seed)
+        },
+    ));
+    let mut store = model_store(&backend);
+    let mut model: BTreeMap<String, ModelSession> = BTreeMap::new();
+    let strategies = [StrategySpec::Random, StrategySpec::Dal];
+
+    for &(kind, slot, arg) in ops {
+        let id = format!("m{}", slot % 2);
+        let id = id.as_str();
+        // Most ops on an absent id open it instead, so sequences make
+        // progress; a quarter still probe the unknown-id errors.
+        let kind = match kind % 32 {
+            1..=27 if !model.contains_key(id) && arg % 4 != 0 => 0,
+            k => k,
+        };
+        match kind {
+            0 => {
+                let config = quick_config(strategies[(arg % 2) as usize], arg);
+                let outcome = store.create(id, scenario().name(), config.clone());
+                if model.contains_key(id) {
+                    assert!(outcome.is_err(), "create over live `{id}` succeeded");
+                } else {
+                    match outcome {
+                        Ok(()) => {
+                            let session =
+                                MatchSession::new(&art.dataset, &art.features, config).unwrap();
+                            model.insert(
+                                id.to_string(),
+                                ModelSession {
+                                    session,
+                                    persisted: None,
+                                },
+                            );
+                        }
+                        Err(e) => assert!(e.is_transient(), "create `{id}`: {e}"),
+                    }
+                }
+            }
+            1..=12 => {
+                // A partial, out-of-order slice of the outstanding batch;
+                // with nothing outstanding, a pair that is not in it.
+                let labels: Vec<(PairIdx, Label)> = match model.get(id) {
+                    Some(m) if !m.session.next_query_batch().is_empty() => {
+                        let mut open = m.session.next_query_batch();
+                        let n = open.len();
+                        open.rotate_left(arg as usize % n);
+                        if arg & 1 == 1 {
+                            open.reverse();
+                        }
+                        open.truncate(1 + (arg as usize >> 8) % n);
+                        open.iter()
+                            .map(|&p| (p, art.dataset.ground_truth(p)))
+                            .collect()
+                    }
+                    _ => vec![(0, Label::Match)],
+                };
+                agree(
+                    "submit_labels",
+                    store.submit_labels(id, &labels),
+                    || match model.get_mut(id) {
+                        Some(m) => m.session.submit_labels(&labels),
+                        None => Err(unknown(id)),
+                    },
+                );
+            }
+            13..=20 => {
+                agree("advance", store.advance(id), || match model.get_mut(id) {
+                    Some(m) => m.session.advance(),
+                    None => Err(unknown(id)),
+                });
+            }
+            21..=25 => {
+                let outcome = store.checkpoint(id).map(|_| ());
+                if agree("checkpoint", outcome, || {
+                    model.get(id).map(|_| ()).ok_or_else(|| unknown(id))
+                }) {
+                    if let Some(m) = model.get_mut(id) {
+                        m.persisted = Some(m.session.snapshot().unwrap());
+                    }
+                }
+            }
+            26 | 27 => {
+                if agree("evict", store.evict(id), || {
+                    model.get(id).map(|_| ()).ok_or_else(|| unknown(id))
+                }) {
+                    if let Some(m) = model.get_mut(id) {
+                        m.persisted = Some(m.session.snapshot().unwrap());
+                    }
+                }
+            }
+            28 => {
+                // Crash: drop the store, reopen over the same backend.
+                drop(store);
+                store = model_store(&backend);
+                model = std::mem::take(&mut model)
+                    .into_iter()
+                    .filter_map(|(id, m)| m.after_crash().map(|m| (id, m)))
+                    .collect();
+                match store.recover() {
+                    Ok(report) => {
+                        let persisted: Vec<String> = model.keys().cloned().collect();
+                        assert_eq!(report.recovered, persisted);
+                        assert!(report.quarantined.is_empty() && report.lost.is_empty());
+                    }
+                    Err(e) => assert!(e.is_transient(), "recover: {e}"),
+                }
+            }
+            29 => match store.delete(id) {
+                Ok(()) => {
+                    model.remove(id);
+                }
+                Err(e) => {
+                    // The in-memory session is gone; whether its frames
+                    // were removed before the fault is observable only
+                    // through the store. Either outcome must match a
+                    // legal model state.
+                    assert!(e.is_transient(), "delete `{id}`: {e}");
+                    let fallback = model.remove(id).and_then(ModelSession::after_crash);
+                    match past_faults(|| store.get(id)) {
+                        Ok(status) => {
+                            let m = fallback.expect("a never-persisted session came back");
+                            assert_eq!(status, m.status(id));
+                            model.insert(id.to_string(), m);
+                        }
+                        Err(e) => assert!(matches!(e, EmError::InvalidConfig(_)), "{e}"),
+                    }
+                }
+            },
+            _ => {
+                let known = model.get(id).ok_or_else(|| unknown(id));
+                agree("get", store.get(id), || known.map(|m| m.status(id)));
+                let known = model.get(id).ok_or_else(|| unknown(id));
+                agree("next_query_batch", store.next_query_batch(id), || {
+                    known.map(|m| m.session.next_query_batch())
+                });
+                let known = model.get(id).ok_or_else(|| unknown(id));
+                agree("report", store.report(id).map(strip), || {
+                    known.map(|m| strip(m.session.report()))
+                });
+            }
+        }
+    }
+
+    // Finish every session on both sides: the reports must agree.
+    for (id, m) in &mut model {
+        loop {
+            let phase = past_faults(|| store.get(id)).unwrap().phase;
+            assert_eq!(phase, m.session.phase(), "`{id}` diverged");
+            match phase {
+                SessionPhase::Done => break,
+                SessionPhase::AwaitingLabels => {
+                    let labels: Vec<(PairIdx, Label)> = m
+                        .session
+                        .next_query_batch()
+                        .iter()
+                        .map(|&p| (p, art.dataset.ground_truth(p)))
+                        .collect();
+                    past_faults(|| store.submit_labels(id, &labels)).unwrap();
+                    m.session.submit_labels(&labels).unwrap();
+                }
+                SessionPhase::SeedDraw | SessionPhase::Training => {
+                    past_faults(|| store.advance(id)).unwrap();
+                    m.session.advance().unwrap();
+                }
+            }
+        }
+        assert_eq!(
+            strip(past_faults(|| store.report(id)).unwrap()),
+            strip(m.session.report()),
+            "`{id}` finished with a different report"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Model-based: random sequences of create, partial out-of-order
+    /// submits, advance, checkpoint, evict, crash + recover and delete
+    /// over a backend injecting transient and crash-before-commit
+    /// faults never panic, fail only with structured errors, resume
+    /// every session from its last persisted state after a crash, and
+    /// finish with the reports of a sequential model.
+    #[test]
+    fn store_agrees_with_a_sequential_model(
+        fault_seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..32, 0u8..2, any::<u64>()), 30..80),
+    ) {
+        run_store_model(fault_seed, &ops);
+    }
 }
