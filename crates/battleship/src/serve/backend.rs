@@ -96,8 +96,17 @@ impl<B: SnapshotBackend + ?Sized> SnapshotBackend for std::sync::Arc<B> {
 /// Frames retained per key by default (newest included).
 const DEFAULT_KEEP: usize = 4;
 
-/// Per-key frame history: `(generation, bytes)` pairs, oldest first.
-type FrameMap = BTreeMap<String, VecDeque<(u64, Vec<u8>)>>;
+/// One key's retained frames, oldest first, and the generation its
+/// next `put` gets. `next` only grows, so a generation is never
+/// reused, not even after its frame was quarantined or removed.
+#[derive(Debug, Default)]
+struct KeyFrames {
+    frames: VecDeque<(u64, Vec<u8>)>,
+    next: u64,
+}
+
+/// Per-key frame histories.
+type FrameMap = BTreeMap<String, KeyFrames>;
 
 /// An in-memory backend: a mutexed map of per-key frame histories.
 #[derive(Debug)]
@@ -140,11 +149,11 @@ impl MemoryBackend {
 impl SnapshotBackend for MemoryBackend {
     fn put(&self, key: &str, bytes: &[u8]) -> Result<()> {
         let mut map = self.map();
-        let frames = map.entry(key.to_string()).or_default();
-        let gen = frames.back().map(|(g, _)| g + 1).unwrap_or(0);
-        frames.push_back((gen, bytes.to_vec()));
-        while frames.len() > self.keep {
-            frames.pop_front();
+        let key = map.entry(key.to_string()).or_default();
+        key.frames.push_back((key.next, bytes.to_vec()));
+        key.next += 1;
+        while key.frames.len() > self.keep {
+            key.frames.pop_front();
         }
         Ok(())
     }
@@ -153,12 +162,14 @@ impl SnapshotBackend for MemoryBackend {
         Ok(self
             .map()
             .get(key)
-            .and_then(|frames| frames.back())
+            .and_then(|key| key.frames.back())
             .map(|(_, bytes)| bytes.clone()))
     }
 
     fn remove(&self, key: &str) -> Result<()> {
-        self.map().remove(key);
+        if let Some(key) = self.map().get_mut(key) {
+            key.frames.clear();
+        }
         Ok(())
     }
 
@@ -166,7 +177,7 @@ impl SnapshotBackend for MemoryBackend {
         Ok(self
             .map()
             .iter()
-            .filter(|(_, frames)| !frames.is_empty())
+            .filter(|(_, key)| !key.frames.is_empty())
             .map(|(k, _)| k.clone())
             .collect())
     }
@@ -175,13 +186,13 @@ impl SnapshotBackend for MemoryBackend {
         Ok(self
             .map()
             .get(key)
-            .map(|frames| frames.iter().rev().cloned().collect())
+            .map(|key| key.frames.iter().rev().cloned().collect())
             .unwrap_or_default())
     }
 
     fn quarantine(&self, key: &str, generation: u64) -> Result<()> {
-        if let Some(frames) = self.map().get_mut(key) {
-            frames.retain(|(g, _)| *g != generation);
+        if let Some(key) = self.map().get_mut(key) {
+            key.frames.retain(|(g, _)| *g != generation);
         }
         Ok(())
     }
@@ -191,6 +202,15 @@ impl SnapshotBackend for MemoryBackend {
 const SNAPSHOT_EXT: &str = "emsnap";
 /// Subdirectory corrupt frames are moved into.
 const QUARANTINE_DIR: &str = "quarantine";
+
+/// One key's live generations on disk, ascending, and the generation
+/// its next `put` gets — past every live *and* quarantined frame of the
+/// key, so a generation number is never reused.
+#[derive(Debug, Default)]
+struct KeyGenerations {
+    live: VecDeque<u64>,
+    next: u64,
+}
 
 /// A directory-of-files backend with generational frames:
 /// `<dir>/<key>/g<generation>.emsnap` per checkpoint, newest `keep`
@@ -202,12 +222,16 @@ const QUARANTINE_DIR: &str = "quarantine";
 /// to filename-safe characters (`[A-Za-z0-9._-]`) so a session id can
 /// never escape the directory; `quarantine` is reserved for the corrupt
 /// frames moved aside by recovery.
+///
+/// Each key's live generations are listed from disk once, on its first
+/// touch, and kept in memory after that: a `put` writes one file and
+/// prunes by name, without listing the directory. The backend assumes
+/// it is the directory's only writer.
 #[derive(Debug)]
 pub struct DirBackend {
     dir: PathBuf,
     keep: usize,
-    /// Next generation per key, so each `put` is O(1) after the first.
-    next_gen: Mutex<BTreeMap<String, u64>>,
+    generations: Mutex<BTreeMap<String, KeyGenerations>>,
 }
 
 impl DirBackend {
@@ -227,7 +251,7 @@ impl DirBackend {
         let backend = DirBackend {
             dir,
             keep: keep.max(1),
-            next_gen: Mutex::new(BTreeMap::new()),
+            generations: Mutex::new(BTreeMap::new()),
         };
         backend.sweep_orphaned_temp_files()?;
         Ok(backend)
@@ -246,20 +270,7 @@ impl DirBackend {
     /// File names currently in `quarantine/` (sorted) — the corrupt
     /// frames recovery has moved aside.
     pub fn quarantined(&self) -> Result<Vec<String>> {
-        let qdir = self.dir.join(QUARANTINE_DIR);
-        if !qdir.exists() {
-            return Ok(Vec::new());
-        }
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(&qdir)
-            .map_err(|e| EmError::storage_io(format!("listing {}", qdir.display()), &e))?
-        {
-            let entry = entry
-                .map_err(|e| EmError::storage_io(format!("listing {}", qdir.display()), &e))?;
-            if let Some(name) = entry.file_name().to_str() {
-                names.push(name.to_string());
-            }
-        }
+        let mut names = list_names(&self.dir.join(QUARANTINE_DIR))?;
         names.sort_unstable();
         Ok(names)
     }
@@ -330,74 +341,111 @@ impl DirBackend {
         u64::from_str_radix(hex, 16).ok()
     }
 
-    /// Generations present for `key`, ascending. Missing dir ⇒ empty.
-    fn generations(&self, key: &str) -> Result<Vec<u64>> {
+    /// Run `f` on `key`'s generations, listing them from disk first if
+    /// this is the key's first touch: the live frames in its directory,
+    /// and its quarantined frames, which only raise `next`.
+    fn with_key<R>(&self, key: &str, f: impl FnOnce(&mut KeyGenerations) -> R) -> Result<R> {
         let dir = self.key_dir(key)?;
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => {
-                return Err(EmError::storage_io(
-                    format!("listing {}", dir.display()),
-                    &e,
-                ))
-            }
-        };
-        let mut gens = Vec::new();
-        for entry in entries {
-            let entry =
-                entry.map_err(|e| EmError::storage_io(format!("listing {}", dir.display()), &e))?;
-            if let Some(gen) = entry.file_name().to_str().and_then(Self::parse_frame_name) {
-                gens.push(gen);
-            }
+        let mut generations = self
+            .generations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !generations.contains_key(key) {
+            let mut live: Vec<u64> = list_names(&dir)?
+                .iter()
+                .filter_map(|name| Self::parse_frame_name(name))
+                .collect();
+            live.sort_unstable();
+            let quarantined = list_names(&self.dir.join(QUARANTINE_DIR))?
+                .into_iter()
+                .filter_map(|name| {
+                    Self::parse_frame_name(name.strip_prefix(key)?.strip_prefix('.')?)
+                })
+                .max();
+            let next = live.last().max(quarantined.as_ref()).map_or(0, |g| g + 1);
+            generations.insert(
+                key.to_string(),
+                KeyGenerations {
+                    live: live.into(),
+                    next,
+                },
+            );
         }
-        gens.sort_unstable();
-        Ok(gens)
+        let state = generations
+            .get_mut(key)
+            .ok_or_else(|| EmError::Internal(format!("generations of `{key}` vanished")))?;
+        Ok(f(state))
+    }
+}
+
+/// File names in `dir`; a missing directory lists as empty.
+fn list_names(dir: &Path) -> Result<Vec<String>> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => {
+            return Err(EmError::storage_io(
+                format!("listing {}", dir.display()),
+                &e,
+            ))
+        }
+    };
+    let mut names = Vec::new();
+    for entry in entries {
+        let entry =
+            entry.map_err(|e| EmError::storage_io(format!("listing {}", dir.display()), &e))?;
+        if let Some(name) = entry.file_name().to_str() {
+            names.push(name.to_string());
+        }
+    }
+    Ok(names)
+}
+
+/// Remove `path`; an already-missing file is not an error.
+fn remove_if_present(path: &Path, what: &str) -> Result<()> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(EmError::storage_io(
+            format!("{what} {}", path.display()),
+            &e,
+        )),
     }
 }
 
 impl SnapshotBackend for DirBackend {
     fn put(&self, key: &str, bytes: &[u8]) -> Result<()> {
         let dir = self.key_dir(key)?;
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| EmError::storage_io(format!("creating {}", dir.display()), &e))?;
-        let gen = {
-            let mut next = self.next_gen.lock().unwrap_or_else(PoisonError::into_inner);
-            let gen = match next.get(key) {
-                Some(&g) => g,
-                None => self.generations(key)?.last().map(|g| g + 1).unwrap_or(0),
-            };
-            next.insert(key.to_string(), gen + 1);
-            gen
-        };
+        let (gen, first) = self.with_key(key, |g| {
+            g.next += 1;
+            (g.next - 1, g.live.is_empty())
+        })?;
+        if first {
+            std::fs::create_dir_all(&dir)
+                .map_err(|e| EmError::storage_io(format!("creating {}", dir.display()), &e))?;
+        }
         let path = dir.join(Self::frame_name(gen));
         let tmp = dir.join(format!(".{}.tmp", Self::frame_name(gen)));
         std::fs::write(&tmp, bytes)
             .and_then(|()| std::fs::rename(&tmp, &path))
             .map_err(|e| EmError::storage_io(format!("writing snapshot {}", path.display()), &e))?;
-        // Prune past the retention window, oldest first.
-        let gens = self.generations(key)?;
-        if gens.len() > self.keep {
-            for old in &gens[..gens.len() - self.keep] {
-                let old_path = dir.join(Self::frame_name(*old));
-                match std::fs::remove_file(&old_path) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => {
-                        return Err(EmError::storage_io(
-                            format!("pruning old frame {}", old_path.display()),
-                            &e,
-                        ))
-                    }
-                }
-            }
+        // Record the frame, then prune past the retention window,
+        // oldest first.
+        let pruned = self.with_key(key, |g| {
+            let at = g.live.partition_point(|&live| live < gen);
+            g.live.insert(at, gen);
+            let excess = g.live.len().saturating_sub(self.keep);
+            g.live.drain(..excess).collect::<Vec<_>>()
+        })?;
+        for old in pruned {
+            remove_if_present(&dir.join(Self::frame_name(old)), "pruning old frame")?;
         }
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
         let dir = self.key_dir(key)?;
-        let Some(&newest) = self.generations(key)?.last() else {
+        let Some(newest) = self.with_key(key, |g| g.live.back().copied())? else {
             return Ok(None);
         };
         let path = dir.join(Self::frame_name(newest));
@@ -413,10 +461,8 @@ impl SnapshotBackend for DirBackend {
 
     fn remove(&self, key: &str) -> Result<()> {
         let dir = self.key_dir(key)?;
-        self.next_gen
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
+        // Keep `next`: a recreated key continues past the removed frames.
+        self.with_key(key, |g| g.live.clear())?;
         match std::fs::remove_dir_all(&dir) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -442,7 +488,7 @@ impl SnapshotBackend for DirBackend {
             if name == QUARANTINE_DIR || name.starts_with('.') {
                 continue;
             }
-            if !self.generations(name)?.is_empty() {
+            if self.with_key(name, |g| !g.live.is_empty())? {
                 keys.push(name.to_string());
             }
         }
@@ -452,8 +498,9 @@ impl SnapshotBackend for DirBackend {
 
     fn history(&self, key: &str) -> Result<Vec<(u64, Vec<u8>)>> {
         let dir = self.key_dir(key)?;
+        let live = self.with_key(key, |g| g.live.clone())?;
         let mut frames = Vec::new();
-        for gen in self.generations(key)?.into_iter().rev() {
+        for gen in live.into_iter().rev() {
             let path = dir.join(Self::frame_name(gen));
             match std::fs::read(&path) {
                 Ok(bytes) => frames.push((gen, bytes)),
@@ -470,20 +517,35 @@ impl SnapshotBackend for DirBackend {
         Ok(frames)
     }
 
+    /// Move the frame into `quarantine/<key>.g<generation>.emsnap`. The
+    /// move never replaces a file: should that name exist, the frame
+    /// gets the first free `.<n>` suffix instead.
     fn quarantine(&self, key: &str, generation: u64) -> Result<()> {
         let src = self.key_dir(key)?.join(Self::frame_name(generation));
+        self.with_key(key, |g| g.live.retain(|&live| live != generation))?;
         let qdir = self.dir.join(QUARANTINE_DIR);
         std::fs::create_dir_all(&qdir)
             .map_err(|e| EmError::storage_io(format!("creating {}", qdir.display()), &e))?;
-        let dst = qdir.join(format!("{key}.{}", Self::frame_name(generation)));
-        match std::fs::rename(&src, &dst) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()), // idempotent
-            Err(e) => Err(EmError::storage_io(
-                format!("quarantining {}", src.display()),
-                &e,
-            )),
+        let name = format!("{key}.{}", Self::frame_name(generation));
+        for n in 0u64.. {
+            let dst = match n {
+                0 => qdir.join(&name),
+                n => qdir.join(format!("{name}.{n}")),
+            };
+            // A hard link fails instead of replacing an existing `dst`.
+            match std::fs::hard_link(&src, &dst) {
+                Ok(()) => return remove_if_present(&src, "quarantining"),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()), // idempotent
+                Err(e) => {
+                    return Err(EmError::storage_io(
+                        format!("quarantining {}", src.display()),
+                        &e,
+                    ))
+                }
+            }
         }
+        Ok(())
     }
 }
 
@@ -561,6 +623,22 @@ mod tests {
         assert_eq!(backend.history("k").unwrap().len(), 1);
     }
 
+    #[test]
+    fn memory_backend_never_reuses_a_quarantined_generation() {
+        let backend = MemoryBackend::new();
+        backend.put("k", b"good").unwrap();
+        backend.put("k", b"corrupt").unwrap();
+        let corrupt = backend.history("k").unwrap()[0].0;
+        backend.quarantine("k", corrupt).unwrap();
+        backend.put("k", b"next").unwrap();
+        let newest = backend.history("k").unwrap()[0].0;
+        assert!(newest > corrupt, "generation {corrupt} reused");
+        // A removed key continues past its old generations too.
+        backend.remove("k").unwrap();
+        backend.put("k", b"again").unwrap();
+        assert!(backend.history("k").unwrap()[0].0 > newest);
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("emsnap-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -598,6 +676,58 @@ mod tests {
         assert_eq!(quarantined.len(), 1);
         assert!(quarantined[0].starts_with("k."), "{quarantined:?}");
         backend.quarantine("k", newest).unwrap(); // idempotent
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_backend_never_reuses_generations_across_quarantine_and_reopen() {
+        let dir = temp_dir("no-reuse");
+        let first_corrupt = {
+            let backend = DirBackend::new(&dir).unwrap();
+            backend.put("k", b"good").unwrap();
+            backend.put("k", b"corrupt-1").unwrap();
+            let corrupt = backend.history("k").unwrap()[0].0;
+            backend.quarantine("k", corrupt).unwrap();
+            corrupt
+        };
+        // A restart must not hand the quarantined generation out again,
+        // and a second quarantine must not replace the first frame.
+        let backend = DirBackend::new(&dir).unwrap();
+        backend.put("k", b"corrupt-2").unwrap();
+        let second_corrupt = backend.history("k").unwrap()[0].0;
+        assert!(
+            second_corrupt > first_corrupt,
+            "generation {first_corrupt} reused after reopen"
+        );
+        backend.quarantine("k", second_corrupt).unwrap();
+        let quarantined = backend.quarantined().unwrap();
+        assert_eq!(quarantined.len(), 2, "{quarantined:?}");
+        let evidence: Vec<Vec<u8>> = quarantined
+            .iter()
+            .map(|name| std::fs::read(dir.join(QUARANTINE_DIR).join(name)).unwrap())
+            .collect();
+        assert_eq!(evidence, vec![b"corrupt-1".to_vec(), b"corrupt-2".to_vec()]);
+        assert_eq!(backend.get("k").unwrap().unwrap(), b"good");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_backend_quarantine_never_replaces_a_file() {
+        let dir = temp_dir("no-clobber");
+        let backend = DirBackend::new(&dir).unwrap();
+        backend.put("k", b"good").unwrap();
+        backend.put("k", b"corrupt").unwrap();
+        let corrupt = backend.history("k").unwrap()[0].0;
+        // A file already holds the quarantine name (left by an older
+        // tool or a copied-in directory).
+        let qdir = dir.join(QUARANTINE_DIR);
+        std::fs::create_dir_all(&qdir).unwrap();
+        let taken = qdir.join(format!("k.{}", DirBackend::frame_name(corrupt)));
+        std::fs::write(&taken, b"older evidence").unwrap();
+        backend.quarantine("k", corrupt).unwrap();
+        assert_eq!(std::fs::read(&taken).unwrap(), b"older evidence");
+        assert_eq!(backend.quarantined().unwrap().len(), 2);
+        assert_eq!(backend.get("k").unwrap().unwrap(), b"good");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
