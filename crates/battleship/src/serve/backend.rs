@@ -2,19 +2,27 @@
 //!
 //! A [`SnapshotBackend`] is a tiny key→bytes store: the
 //! [`SessionStore`](super::SessionStore) writes each session's encoded
-//! snapshot under its session id and reads it back on cache miss or
-//! crash recovery. Two implementations ship:
+//! frames under its session id (and, under the binary codec, its
+//! matcher blob under `<id>.matcher`) and reads them back on cache miss
+//! or crash recovery. Two implementations ship:
 //!
 //! * [`MemoryBackend`] — a mutexed map; survives store drops (hand the
 //!   same backend to a new store), not process exits. The unit-test and
 //!   bench backend.
-//! * [`DirBackend`] — **generational** files per session under a
+//! * [`DirBackend`] — **generational** files per key under a
 //!   directory: every `put` writes a new frame atomically (temp file +
 //!   rename) and the last [`DirBackend::keep`] frames are retained, so
 //!   recovery can fall back past a torn or corrupt newest frame.
 //!   Frames that fail to decode are moved into `quarantine/` by
 //!   [`SnapshotBackend::quarantine`] instead of being deleted — they
-//!   are the post-mortem evidence.
+//!   are the post-mortem evidence. Each key's live generations are kept
+//!   in memory after its first touch, so a `put` never lists a
+//!   directory.
+//!
+//! Both backends number a key's frames with generations that are never
+//! reused — not after a quarantine, a removal or (for [`DirBackend`]) a
+//! reopen — so `(key, generation)` names one frame for good, and a
+//! quarantine never overwrites earlier evidence.
 //!
 //! Backends store opaque bytes; the codec (and thus corruption
 //! detection) lives a layer above in

@@ -5,15 +5,17 @@
 //!
 //! * [`SnapshotCodec::Json`] — the original `serde` path: human
 //!   readable, diffable, and the compatibility format every existing
-//!   checkpoint was written in;
+//!   checkpoint was written in. A JSON store writes each checkpoint as
+//!   one self-contained snapshot;
 //! * [`SnapshotCodec::Binary`] — the compact frame of
 //!   [`SessionSnapshot::to_bytes`]: float bit patterns instead of
-//!   decimal renderings, a version byte and a word-wide 64-bit checksum
-//!   (`em_core::codec::frame_checksum`; several times smaller on real
-//!   sessions — the matcher parameters dominate — and the store's
-//!   default). Frames of any other format version are rejected with a
-//!   structured error, so JSON is the path for moving checkpoints across
-//!   format versions.
+//!   decimal renderings, a version byte (format 3) and a word-wide
+//!   64-bit checksum (`em_core::codec::frame_checksum`), and the store's
+//!   default. A binary store writes the matcher once per training as
+//!   its own blob and each checkpoint as a small frame naming it (see
+//!   [`SessionStore`](super::SessionStore)). Frames of any other format
+//!   version are rejected with a structured error, so JSON is the path
+//!   for moving checkpoints across format versions.
 //!
 //! Both decode to the *same* [`SessionSnapshot`] value, so a session
 //! restored from either continues bit-identically; the golden tests in

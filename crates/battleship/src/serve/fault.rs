@@ -24,7 +24,8 @@
 //! [`FaultPlan::seed`], so a given op sequence replays the exact same
 //! fault sequence — every failure mode is a unit test, not an outage.
 //! [`FaultyBackend::force_on_put`] additionally queues a *guaranteed*
-//! fault for the next `put`, which is how the chaos bench plants its
+//! fault for the next `put` (and [`FaultyBackend::force_on_put_to`] for
+//! the next `put` of one key), which is how the chaos bench plants its
 //! "at least one torn write and one corrupt frame per run".
 
 use std::collections::VecDeque;
@@ -139,9 +140,10 @@ impl FaultStats {
 struct FaultState {
     rng: Rng,
     stats: FaultStats,
-    /// Guaranteed faults for upcoming `put`s (front first), consumed
-    /// before any probabilistic draw.
-    forced_on_put: VecDeque<Fault>,
+    /// Guaranteed faults for upcoming `put`s (front first), each for
+    /// any key or for one key only, consumed before any probabilistic
+    /// draw.
+    forced_on_put: VecDeque<(Option<String>, Fault)>,
 }
 
 /// A [`SnapshotBackend`] wrapper that injects faults per a [`FaultPlan`].
@@ -185,7 +187,15 @@ impl<B: SnapshotBackend> FaultyBackend<B> {
     /// Queue a guaranteed fault for an upcoming `put` (FIFO, consumed
     /// one per `put` before any probabilistic draw).
     pub fn force_on_put(&self, fault: Fault) {
-        self.lock_state().forced_on_put.push_back(fault);
+        self.lock_state().forced_on_put.push_back((None, fault));
+    }
+
+    /// Queue a guaranteed fault for an upcoming `put` of `key` only
+    /// (puts of other keys pass it by).
+    pub fn force_on_put_to(&self, key: &str, fault: Fault) {
+        self.lock_state()
+            .forced_on_put
+            .push_back((Some(key.to_string()), fault));
     }
 
     /// The state lock, recovered from poisoning: the state is a plain
@@ -234,8 +244,12 @@ impl<B: SnapshotBackend> SnapshotBackend for FaultyBackend<B> {
                 .max_faults
                 .map(|cap| s.stats.total_faults() < cap)
                 .unwrap_or(true);
-            let fault = if let Some(forced) = s.forced_on_put.pop_front() {
-                Some(forced)
+            let forced = s
+                .forced_on_put
+                .iter()
+                .position(|(only, _)| only.as_deref().is_none_or(|only| only == key));
+            let fault = if let Some(at) = forced {
+                s.forced_on_put.remove(at).map(|(_, fault)| fault)
             } else if !budget_left {
                 None
             } else if s.rng.bool(self.plan.crash_rate) {
@@ -380,6 +394,16 @@ mod tests {
             .sum();
         assert_eq!(flipped, 1, "expected exactly one flipped bit");
         assert_eq!(b.stats().corruptions, 1);
+    }
+
+    #[test]
+    fn a_fault_forced_on_one_key_passes_other_keys_by() {
+        let b = FaultyBackend::new(MemoryBackend::new(), FaultPlan::none(6));
+        b.force_on_put_to("frame", Fault::CrashBeforeCommit);
+        b.put("blob", b"blob").unwrap();
+        assert!(b.put("frame", b"frame").is_err());
+        b.put("frame", b"frame").unwrap();
+        assert_eq!(b.stats().crashes, 1);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!                      ▼                            ▼
 //!   ┌──────────────────────────────┐   ┌───────────────────────────┐
 //!   │  SessionStore                │   │  SnapshotCodec            │
-//!   │   sessions: id → SessionCell │──▶│  (json | binary frame)    │
+//!   │   sessions: id → SessionCell │──▶│  (json | binary frame     │
+//!   │                              │   │   + matcher blob)         │
 //!   │   scenarios: name → Scenario │   └────────────┬──────────────┘
 //!   │   cache: ArtifactCache       │                ▼
 //!   └──────────────┬───────────────┘   ┌───────────────────────────┐
@@ -45,11 +46,28 @@
 //!   goes through the store's [`RetryPolicy`]: transient faults
 //!   ([`EmError::is_transient`]) are retried under bounded exponential
 //!   backoff with seeded jitter; hard faults surface immediately.
+//! * **Checkpoints write only what changed.** Under the binary codec
+//!   the matcher, which changes only when `advance` trains, is written
+//!   once per training as its own checksummed blob under
+//!   `<id>.matcher`, through the same backend (atomic rename, retained
+//!   generations, retry and fault injection all apply). Every
+//!   checkpoint writes a small frame of loop state that names the blob
+//!   by checksum and length. The blob is put before any frame names it,
+//!   and `delete` removes the frames before the blob, so a frame never
+//!   outlives its blob in a fault-free history. Ids ending in
+//!   `.matcher` are not sessions. A JSON store keeps writing
+//!   self-contained snapshots.
+//! * **A blob is read back before any frame names it.** Every frame of
+//!   a training names one blob, so a blob write silently corrupted at
+//!   rest would cost every checkpoint until the next training. The put
+//!   is verified by reading it back and repeated on a mismatch, within
+//!   the retry policy.
 //! * **Recovery trusts no single frame.** Reload and [`recover`]
 //!   (crash recovery) walk [`SnapshotBackend::history`] newest→oldest,
-//!   quarantining frames that fail to decode and restoring from the
-//!   newest decodable one — a torn or corrupt last checkpoint costs one
-//!   checkpoint interval, not the session.
+//!   quarantining frames that fail to decode — or whose blob is missing
+//!   or corrupt among the blob key's retained generations — and
+//!   restoring from the newest one that resolves. A torn or corrupt last
+//!   checkpoint costs one checkpoint interval, not the session.
 //! * **Memory is bounded.** With
 //!   [`SessionStore::with_max_resident`], admission past the cap
 //!   evicts the least-recently-touched session (checkpoint-then-drop,
@@ -68,11 +86,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use rayon::prelude::*;
 
 use em_core::{Dataset, EmError, Label, PairIdx, Result};
+use em_matcher::MatcherSnapshot;
 use em_vector::Embeddings;
 
 use crate::engine::{ArtifactCache, DatasetArtifacts, Scenario};
 use crate::report::RunReport;
-use crate::session::{MatchSession, SessionConfig, SessionPhase};
+use crate::session::{MatchSession, MatcherBlobRef, SessionConfig, SessionPhase, SessionSnapshot};
 
 use super::backend::SnapshotBackend;
 use super::codec::SnapshotCodec;
@@ -81,6 +100,14 @@ use super::retry::RetryPolicy;
 /// One stepped session's outcome: `Ok(Some(_))` advanced, `Ok(None)`
 /// skipped (not ready, detached, or poisoned — healed after the pass).
 type StepOutcome = Result<Option<(String, SessionPhase)>>;
+
+/// Suffix of the backend key a session's matcher blob lives under.
+const MATCHER_BLOB_SUFFIX: &str = ".matcher";
+
+/// The backend key of session `id`'s matcher blob.
+fn blob_key(id: &str) -> String {
+    format!("{id}{MATCHER_BLOB_SUFFIX}")
+}
 
 /// Lock with `into_inner` poison recovery, for the store-level maps.
 ///
@@ -119,6 +146,11 @@ struct SessionCell {
     /// session (drawn from the store's monotone clock) — the LRU key
     /// for admission-control eviction.
     last_touch: u64,
+    /// The matcher blob last persisted for this session, with the
+    /// session's record count at the time. `advance` assigns a newly
+    /// trained matcher right before recording its iteration, so the
+    /// record count identifies the training the blob holds.
+    blob: Option<(usize, MatcherBlobRef)>,
 }
 
 // SAFETY: a `SessionCell` is always built through `SessionCell::open` /
@@ -163,17 +195,23 @@ impl SessionCell {
             scenario,
             detached: false,
             last_touch: 0,
+            blob: None,
         })
     }
 
+    /// Rebuild a cell from a snapshot; `blob` is the matcher blob the
+    /// snapshot's frame named, if any, so the next checkpoint of the
+    /// same training does not write it again.
     fn restore(
         artifacts: Arc<DatasetArtifacts>,
         scenario: String,
-        snapshot: &crate::session::SessionSnapshot,
+        snapshot: &SessionSnapshot,
+        blob: Option<MatcherBlobRef>,
     ) -> Result<Self> {
         let (dataset, features) = Self::project(&artifacts);
         let session = MatchSession::restore(dataset, features, snapshot)?;
         Ok(SessionCell {
+            blob: blob.map(|blob| (session.records().len(), blob)),
             session,
             artifacts,
             scenario,
@@ -305,6 +343,22 @@ impl SessionStore {
         self.retry.run(|| self.backend.put(key, bytes))
     }
 
+    /// Put `bytes` under `key`, read them back, and put them again on a
+    /// mismatch — all within the retry policy. Every frame of a
+    /// training names its matcher blob, so a blob write silently
+    /// corrupted at rest must be caught here, not at recovery.
+    fn backend_put_verified(&self, key: &str, bytes: &[u8]) -> Result<()> {
+        self.retry.run(|| {
+            self.backend.put(key, bytes)?;
+            match self.backend.get(key)? {
+                Some(stored) if stored == bytes => Ok(()),
+                _ => Err(EmError::Transient(format!(
+                    "`{key}` read back different bytes than were written"
+                ))),
+            }
+        })
+    }
+
     fn backend_get(&self, key: &str) -> Result<Option<Vec<u8>>> {
         self.retry.run(|| self.backend.get(key))
     }
@@ -368,6 +422,11 @@ impl SessionStore {
     /// Creating over a tombstoned (lost) id is allowed and clears the
     /// tombstone — the old state is unrecoverable by definition.
     pub fn create(&self, id: &str, scenario_name: &str, config: SessionConfig) -> Result<()> {
+        if id.ends_with(MATCHER_BLOB_SUFFIX) {
+            return Err(EmError::InvalidConfig(format!(
+                "session id `{id}` ends in `{MATCHER_BLOB_SUFFIX}`, which names matcher blobs"
+            )));
+        }
         let scenario = self.scenario_named(scenario_name)?;
         if self.backend_get(id)?.is_some() {
             return Err(EmError::InvalidConfig(format!(
@@ -433,10 +492,53 @@ impl SessionStore {
         }
     }
 
+    /// Decode one persisted frame into a complete snapshot, plus the
+    /// matcher blob it named. The blob is resolved among the blob key's
+    /// retained generations by length and checksum; those are read once
+    /// per reload, into `blobs`. A missing or corrupt blob is a codec
+    /// error, exactly like a corrupt frame.
+    fn decode_frame(
+        &self,
+        id: &str,
+        bytes: &[u8],
+        blobs: &mut Option<Vec<(u64, Vec<u8>)>>,
+    ) -> Result<(SessionSnapshot, Option<MatcherBlobRef>)> {
+        let (mut snapshot, blob) = match self.codec {
+            SnapshotCodec::Json => return Ok((self.codec.decode(bytes)?, None)),
+            SnapshotCodec::Binary => SessionSnapshot::decode_frame(bytes)?,
+        };
+        if let Some(blob) = blob {
+            let retained = match blobs {
+                Some(retained) => retained,
+                None => blobs.insert(self.backend_history(&blob_key(id))?),
+            };
+            let matcher = retained
+                .iter()
+                .filter(|(_, bytes)| blob.names(bytes))
+                .find_map(|(_, bytes)| MatcherSnapshot::from_bytes(bytes).ok())
+                .ok_or_else(|| {
+                    EmError::Codec(format!(
+                        "session `{id}`: the matcher blob its frame names \
+                         ({} bytes, checksum {:#018x}) is missing or corrupt",
+                        blob.len, blob.checksum
+                    ))
+                })?;
+            snapshot.matcher = Some(matcher);
+        }
+        Ok((snapshot, blob))
+    }
+
     /// Reload `id` from the backend, walking the frame history newest →
-    /// oldest and quarantining frames that fail to decode. Corrupt
-    /// generations discovered on the way are appended to `quarantined`.
+    /// oldest and quarantining frames that fail to decode or whose
+    /// matcher blob does not resolve. Corrupt generations discovered on
+    /// the way are appended to `quarantined`.
     fn reload(&self, id: &str, quarantined: &mut Vec<(String, u64)>) -> Result<Reload> {
+        // A blob key is never a session (`recover` lists it, and a
+        // caller may name it): reading its blobs as frames would
+        // quarantine them.
+        if id.ends_with(MATCHER_BLOB_SUFFIX) {
+            return Ok(Reload::Missing);
+        }
         // Decode and restore outside every lock — this is the expensive
         // part — then re-validate under the map lock before inserting.
         let frames = self.backend_history(id)?;
@@ -444,11 +546,12 @@ impl SessionStore {
             return Ok(Reload::Missing);
         }
         let total = frames.len();
-        let mut snapshot = None;
+        let mut blobs = None;
+        let mut decoded = None;
         for (generation, bytes) in frames {
-            match self.codec.decode(&bytes) {
-                Ok(snap) => {
-                    snapshot = Some(snap);
+            match self.decode_frame(id, &bytes, &mut blobs) {
+                Ok(found) => {
+                    decoded = Some(found);
                     break;
                 }
                 Err(EmError::Codec(_)) => {
@@ -460,7 +563,7 @@ impl SessionStore {
                 Err(other) => return Err(other),
             }
         }
-        let Some(snapshot) = snapshot else {
+        let Some((snapshot, blob)) = decoded else {
             locked(&self.lost).insert(
                 id.to_string(),
                 format!("all {total} persisted frames were corrupt (quarantined)"),
@@ -469,7 +572,7 @@ impl SessionStore {
         };
         let scenario = self.scenario_named(&snapshot.dataset)?;
         let artifacts = self.cache.get_or_materialize(&scenario)?;
-        let mut cell = SessionCell::restore(artifacts, snapshot.dataset.clone(), &snapshot)?;
+        let mut cell = SessionCell::restore(artifacts, snapshot.dataset.clone(), &snapshot, blob)?;
         cell.last_touch = self.clock.fetch_add(1, Ordering::Relaxed);
         let installed = {
             let mut sessions = locked(&self.sessions);
@@ -628,16 +731,56 @@ impl SessionStore {
     }
 
     /// Persist session `id`'s complete state through the codec and
-    /// backend. Returns the encoded size in bytes.
+    /// backend. Returns the bytes this call wrote: under the binary
+    /// codec, the session frame plus the matcher blob when the matcher
+    /// changed since the last checkpoint.
     pub fn checkpoint(&self, id: &str) -> Result<usize> {
         self.with_cell(id, |cell| self.checkpoint_cell(id, cell))
     }
 
-    fn checkpoint_cell(&self, id: &str, cell: &SessionCell) -> Result<usize> {
-        let snapshot = cell.session.snapshot()?;
-        let bytes = self.codec.encode(&snapshot)?;
-        self.backend_put(id, &bytes)?;
-        Ok(bytes.len())
+    fn checkpoint_cell(&self, id: &str, cell: &mut SessionCell) -> Result<usize> {
+        match self.codec {
+            SnapshotCodec::Json => {
+                let bytes = self.codec.encode(&cell.session.snapshot()?)?;
+                self.backend_put(id, &bytes)?;
+                Ok(bytes.len())
+            }
+            SnapshotCodec::Binary => {
+                let (blob, blob_len) = self.persist_matcher(id, cell)?;
+                let snapshot = cell.session.snapshot_without_matcher()?;
+                let frame = match blob {
+                    Some(blob) => snapshot.to_bytes_naming(blob),
+                    None => snapshot.to_bytes(),
+                };
+                // The blob is durable before any frame names it.
+                self.backend_put(id, &frame)?;
+                Ok(blob_len + frame.len())
+            }
+        }
+    }
+
+    /// Persist the session's matcher as its blob, unless this training's
+    /// blob already is. Returns the reference a frame names (`None`
+    /// before the first training) and the blob bytes written.
+    fn persist_matcher(
+        &self,
+        id: &str,
+        cell: &mut SessionCell,
+    ) -> Result<(Option<MatcherBlobRef>, usize)> {
+        let Some(matcher) = cell.session.matcher() else {
+            return Ok((None, 0));
+        };
+        let training = cell.session.records().len();
+        if let Some((persisted_at, blob)) = cell.blob {
+            if persisted_at == training {
+                return Ok((Some(blob), 0));
+            }
+        }
+        let bytes = matcher.to_snapshot().to_bytes();
+        self.backend_put_verified(&blob_key(id), &bytes)?;
+        let blob = MatcherBlobRef::of(&bytes);
+        cell.blob = Some((training, blob));
+        Ok((Some(blob), bytes.len()))
     }
 
     /// Checkpoint every resident session; returns `(id, bytes)` pairs
@@ -655,13 +798,13 @@ impl SessionStore {
         let mut out = Vec::with_capacity(resident.len());
         for (id, cell) in resident {
             match cell.lock() {
-                Ok(cell) => {
+                Ok(mut cell) => {
                     if cell.detached {
                         // Evicted concurrently — the evict already
                         // persisted it.
                         continue;
                     }
-                    out.push((id.clone(), self.checkpoint_cell(&id, &cell)?));
+                    out.push((id.clone(), self.checkpoint_cell(&id, &mut cell)?));
                 }
                 Err(poisoned) => {
                     // Heal; its last checkpoint already is the freshest
@@ -717,9 +860,14 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Permanently remove session `id` from memory and the backend
-    /// (clears a loss tombstone too).
+    /// Permanently remove session `id` from memory and the backend, its
+    /// matcher blob included (clears a loss tombstone too).
     pub fn delete(&self, id: &str) -> Result<()> {
+        if id.ends_with(MATCHER_BLOB_SUFFIX) {
+            // Not a session id (`create` rejects these): nothing to delete,
+            // and the blob key belongs to another session.
+            return Ok(());
+        }
         // Tombstone any resident cell (so racing operations holding its
         // Arc fail over to the map instead of mutating an orphan) and
         // remove the persisted snapshot while still holding the map
@@ -733,7 +881,9 @@ impl SessionStore {
                 .detached = true;
         }
         locked(&self.lost).remove(id);
-        self.backend_remove(id)
+        // Frames first: a frame must never outlive the blob it names.
+        self.backend_remove(id)?;
+        self.backend_remove(&blob_key(id))
     }
 
     /// Reload every persisted session from the backend — the crash
@@ -1118,6 +1268,202 @@ mod tests {
         let after = fresh.get("s").unwrap();
         assert_eq!(after, at_gen1, "fallback restored the wrong generation");
         drive(&fresh, "s");
+    }
+
+    /// Answer `n` of session `id`'s outstanding queries from ground truth.
+    fn answer(store: &SessionStore, id: &str, n: usize) {
+        let batch = store.next_query_batch(id).unwrap();
+        let artifacts = store.artifacts(id).unwrap();
+        let answers: Vec<(PairIdx, Label)> = batch
+            .iter()
+            .take(n)
+            .map(|&p| (p, artifacts.dataset.ground_truth(p)))
+            .collect();
+        store.submit_labels(id, &answers).unwrap();
+    }
+
+    /// The report of `config` driven through a fault-free store.
+    fn reference(config: SessionConfig) -> RunReport {
+        let (store, scenario) = store_with_scenario();
+        store.create("ref", scenario.name(), config).unwrap();
+        drive(&store, "ref");
+        strip(store.report("ref").unwrap())
+    }
+
+    fn strip(mut r: RunReport) -> RunReport {
+        for it in &mut r.iterations {
+            it.train_secs = 0.0;
+            it.select_secs = 0.0;
+        }
+        r
+    }
+
+    /// A store over `backend`, as a restarted process opens it, with
+    /// `recover()` already run.
+    fn reopen(
+        backend: &Arc<FaultyBackend<MemoryBackend>>,
+        scenario: &Scenario,
+    ) -> (SessionStore, RecoveryReport) {
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+        store.register_scenario(scenario.clone());
+        let report = store.recover().unwrap();
+        (store, report)
+    }
+
+    #[test]
+    fn blob_written_but_frame_lost_recovers_the_previous_frame() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let backend = Arc::new(FaultyBackend::new(MemoryBackend::new(), FaultPlan::none(2)));
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary)
+            .with_retry_policy(RetryPolicy::none());
+        store.register_scenario(scenario.clone());
+        let config = quick_config(StrategySpec::Random, 21);
+        store.create("s", scenario.name(), config.clone()).unwrap();
+        store.advance("s").unwrap();
+        answer(&store, "s", usize::MAX);
+        store.checkpoint("s").unwrap(); // a complete seed batch, untrained
+        let before = store.get("s").unwrap();
+
+        // Train, then crash between the blob put and the frame put.
+        store.advance("s").unwrap();
+        backend.force_on_put_to("s", Fault::CrashBeforeCommit);
+        assert!(store.checkpoint("s").is_err());
+        assert_eq!(backend.inner().history(&blob_key("s")).unwrap().len(), 1);
+        drop(store);
+
+        let (store, report) = reopen(&backend, &scenario);
+        assert_eq!(report.recovered, vec!["s"]);
+        assert!(report.quarantined.is_empty() && report.lost.is_empty());
+        assert_eq!(store.get("s").unwrap(), before);
+        drive(&store, "s");
+        assert_eq!(strip(store.report("s").unwrap()), reference(config));
+    }
+
+    #[test]
+    fn a_corrupt_blob_write_is_caught_by_its_read_back() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let backend = Arc::new(FaultyBackend::new(MemoryBackend::new(), FaultPlan::none(3)));
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+        store.register_scenario(scenario.clone());
+        let config = quick_config(StrategySpec::Random, 22);
+        store.create("s", scenario.name(), config.clone()).unwrap();
+        store.advance("s").unwrap();
+        answer(&store, "s", usize::MAX);
+        store.advance("s").unwrap(); // trained: the next checkpoint writes the blob
+
+        // The blob put is silently corrupted at rest; then more
+        // per-label checkpoints than the backend retains frames, every
+        // one of them naming this training's blob.
+        backend.force_on_put_to(&blob_key("s"), Fault::Corrupt);
+        let keep = 4;
+        for _ in 0..keep + 2 {
+            answer(&store, "s", 1);
+            store.checkpoint("s").unwrap();
+        }
+        assert_eq!(backend.stats().corruptions, 1);
+        let before = store.get("s").unwrap();
+        drop(store);
+
+        let (store, report) = reopen(&backend, &scenario);
+        assert_eq!(report.recovered, vec!["s"]);
+        assert!(report.quarantined.is_empty() && report.lost.is_empty());
+        assert_eq!(store.get("s").unwrap(), before, "labels were lost");
+        drive(&store, "s");
+        assert_eq!(strip(store.report("s").unwrap()), reference(config));
+    }
+
+    #[test]
+    fn a_frame_whose_blob_is_missing_is_quarantined() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let backend = Arc::new(FaultyBackend::new(MemoryBackend::new(), FaultPlan::none(4)));
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+        store.register_scenario(scenario.clone());
+        let config = quick_config(StrategySpec::Random, 23);
+        for id in ["fallback", "lost"] {
+            store.create(id, scenario.name(), config.clone()).unwrap();
+            store.advance(id).unwrap();
+            answer(&store, id, usize::MAX);
+        }
+        // `fallback` has an untrained frame under the one naming its
+        // blob; `lost` only has frames naming its blob.
+        store.checkpoint("fallback").unwrap();
+        let untrained = store.get("fallback").unwrap();
+        for id in ["fallback", "lost"] {
+            store.advance(id).unwrap();
+            store.checkpoint(id).unwrap();
+            backend.inner().remove(&blob_key(id)).unwrap();
+        }
+        drop(store);
+
+        let (store, report) = reopen(&backend, &scenario);
+        assert_eq!(report.recovered, vec!["fallback"]);
+        assert_eq!(report.lost, vec!["lost"]);
+        assert_eq!(
+            report.quarantined,
+            vec![("fallback".to_string(), 1), ("lost".to_string(), 0)]
+        );
+        assert_eq!(store.get("fallback").unwrap(), untrained);
+        let err = store.get("lost").unwrap_err();
+        assert!(
+            matches!(&err, EmError::Storage(msg) if msg.contains("lost")),
+            "unexpected error {err}"
+        );
+        drive(&store, "fallback");
+        assert_eq!(strip(store.report("fallback").unwrap()), reference(config));
+    }
+
+    #[test]
+    fn every_retained_frame_of_a_fault_free_history_resolves_its_blob() {
+        let (store, scenario) = store_with_scenario();
+        store
+            .create("s", scenario.name(), quick_config(StrategySpec::Dal, 24))
+            .unwrap();
+        let mut frames_checked = 0;
+        loop {
+            match store.get("s").unwrap().phase {
+                SessionPhase::Done => break,
+                SessionPhase::AwaitingLabels => answer(&store, "s", 1),
+                SessionPhase::SeedDraw | SessionPhase::Training => {
+                    store.advance("s").unwrap();
+                }
+            }
+            store.checkpoint("s").unwrap();
+            for (_, frame) in store.backend.history("s").unwrap() {
+                store.decode_frame("s", &frame, &mut None).unwrap();
+                frames_checked += 1;
+            }
+        }
+        assert!(frames_checked > 20);
+    }
+
+    #[test]
+    fn blob_keys_are_never_sessions() {
+        let (store, scenario) = store_with_scenario();
+        let config = quick_config(StrategySpec::Random, 25);
+        let err = store
+            .create("x.matcher", scenario.name(), config.clone())
+            .unwrap_err();
+        assert!(matches!(err, EmError::InvalidConfig(_)), "{err}");
+        store.create("x", scenario.name(), config).unwrap();
+        store.advance("x").unwrap();
+        answer(&store, "x", usize::MAX);
+        store.advance("x").unwrap();
+        store.checkpoint("x").unwrap();
+        assert_eq!(store.backend.keys().unwrap(), vec!["x", "x.matcher"]);
+
+        // Naming the blob key as a session reads nothing as a frame.
+        assert!(store.get("x.matcher").is_err());
+        store.delete("x.matcher").unwrap();
+        store.evict("x").unwrap();
+        let report = store.recover().unwrap();
+        assert_eq!(report.recovered, vec!["x"]);
+        assert!(report.quarantined.is_empty() && report.lost.is_empty());
+
+        store.delete("x").unwrap();
+        assert!(
+            store.backend.keys().unwrap().is_empty(),
+            "delete left a blob"
+        );
     }
 
     #[test]

@@ -6,13 +6,22 @@
 //! This module encodes the complete snapshot into one checksummed
 //! little-endian frame (see `em_core::codec` for the wire primitives,
 //! the word-wide frame checksum and the corruption-detection contract):
-//! a `BSSS` magic, a format version byte (2; a frame of any other
+//! a `BSSS` magic, a format version byte (3; a frame of any other
 //! version is rejected), every scalar field in declaration order, and
 //! the nested checkpointable types ([`RngState`](em_core::RngState),
 //! [`Membership`](em_core::Membership),
 //! [`MatcherSnapshot`](em_matcher::MatcherSnapshot)) embedded as their
 //! own framed blocks — each carries its own magic/version/checksum, so
 //! a format bump in any layer is detected exactly where it happens.
+//!
+//! The matcher field is a tag: absent (no training yet), inline (the
+//! matcher's own frame follows), or a blob reference — the checksum and
+//! length of a matcher frame stored beside the session frame. A
+//! standalone [`SessionSnapshot::to_bytes`] is always self-contained
+//! (absent or inline); the [`SessionStore`](crate::serve::SessionStore)
+//! writes blob references, so the matcher, which changes once per
+//! training, is not rewritten with every label. Only the store resolves
+//! a reference; [`SessionSnapshot::from_bytes`] rejects such a frame.
 //!
 //! The contract, pinned by the codec golden tests in
 //! `tests/serve_api.rs`: `from_bytes(to_bytes(s)) == s` for every
@@ -35,7 +44,46 @@ use super::{PendingSnapshot, SessionPhase, SessionSnapshot};
 /// Binary frame magic for [`SessionSnapshot`].
 const SESSION_MAGIC: [u8; 4] = *b"BSSS";
 /// Binary format version for [`SessionSnapshot`] frames.
-const SESSION_BINARY_VERSION: u8 = 2;
+const SESSION_BINARY_VERSION: u8 = 3;
+
+/// Matcher field tag: no matcher trained yet.
+const MATCHER_ABSENT: u8 = 0;
+/// Matcher field tag: the matcher's own frame is embedded.
+const MATCHER_INLINE: u8 = 1;
+/// Matcher field tag: the frame names a matcher blob stored beside it.
+const MATCHER_BLOB: u8 = 2;
+
+/// A session frame's reference to a matcher persisted as its own blob:
+/// the checksum and length of the blob, which is exactly a
+/// [`MatcherSnapshot::to_bytes`] frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MatcherBlobRef {
+    /// The blob's frame checksum (its last 8 bytes).
+    pub checksum: u64,
+    /// The blob's length in bytes.
+    pub len: u64,
+}
+
+impl MatcherBlobRef {
+    /// The reference naming `blob`, a [`MatcherSnapshot::to_bytes`]
+    /// frame (so its trailer is the frame checksum).
+    pub(crate) fn of(blob: &[u8]) -> Self {
+        let mut trailer = [0u8; 8];
+        if let Some(tail) = blob.len().checked_sub(8).map(|at| &blob[at..]) {
+            trailer.copy_from_slice(tail);
+        }
+        MatcherBlobRef {
+            checksum: u64::from_le_bytes(trailer),
+            len: blob.len() as u64,
+        }
+    }
+
+    /// Whether `bytes` carry this reference's length and checksum
+    /// trailer. Decoding the blob then verifies the checksum itself.
+    pub(crate) fn names(&self, bytes: &[u8]) -> bool {
+        bytes.len() as u64 == self.len && MatcherBlobRef::of(bytes) == *self
+    }
+}
 
 fn put_label(w: &mut ByteWriter, label: Label) {
     w.put_u8(label.is_match() as u8);
@@ -283,9 +331,25 @@ impl SessionSnapshot {
     /// parameters, same half-labeled batch — at a fraction of the size
     /// (the float-dominated payload is written as raw bit patterns).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let matcher_bytes = self.matcher.as_ref().map(|m| m.to_bytes());
+        self.encode(None)
+    }
+
+    /// The binary frame with the matcher field naming `blob` instead of
+    /// carrying a matcher (the snapshot's own `matcher` is not written).
+    /// Only [`SessionSnapshot::decode_frame`] reads such a frame back.
+    pub(crate) fn to_bytes_naming(&self, blob: MatcherBlobRef) -> Vec<u8> {
+        self.encode(Some(blob))
+    }
+
+    fn encode(&self, blob: Option<MatcherBlobRef>) -> Vec<u8> {
+        let matcher_bytes = match blob {
+            Some(_) => None,
+            None => self.matcher.as_ref().map(|m| m.to_bytes()),
+        };
         let mut w = ByteWriter::with_capacity(
-            matcher_bytes.as_ref().map_or(0, |b| b.len()) + 64 * self.pool.len().max(16),
+            matcher_bytes.as_ref().map_or(0, |b| b.len())
+                + 4 * (self.pool.len() + self.train.len() + self.membership.capacity())
+                + 256,
         );
         w.put_u32(self.version);
         w.put_str(&self.dataset);
@@ -298,12 +362,17 @@ impl SessionSnapshot {
         w.put_varints(&self.train);
         put_labels(&mut w, &self.train_labels);
         w.put_bytes(&self.membership.to_bytes());
-        match &matcher_bytes {
-            Some(b) => {
-                w.put_bool(true);
+        match (blob, &matcher_bytes) {
+            (Some(blob), _) => {
+                w.put_u8(MATCHER_BLOB);
+                w.put_u64(blob.checksum);
+                w.put_u64(blob.len);
+            }
+            (None, Some(b)) => {
+                w.put_u8(MATCHER_INLINE);
                 w.put_bytes(b);
             }
-            None => w.put_bool(false),
+            (None, None) => w.put_u8(MATCHER_ABSENT),
         }
         w.put_varint(self.iterations.len() as u64);
         for it in &self.iterations {
@@ -328,8 +397,24 @@ impl SessionSnapshot {
     /// Semantic validation (dataset identity, index ranges, phase
     /// coherence) happens in
     /// [`MatchSession::restore`](super::MatchSession::restore), same as
-    /// for a JSON-decoded snapshot.
+    /// for a JSON-decoded snapshot. A frame that names a matcher blob
+    /// (written by a [`SessionStore`](crate::serve::SessionStore)) is a
+    /// structured error here: only the store can resolve the blob.
     pub fn from_bytes(bytes: &[u8]) -> Result<SessionSnapshot> {
+        match Self::decode_frame(bytes)? {
+            (snapshot, None) => Ok(snapshot),
+            (_, Some(_)) => Err(EmError::Codec(
+                "SessionSnapshot: the frame names a matcher blob stored beside it; \
+                 restore it through the session store that wrote it"
+                    .into(),
+            )),
+        }
+    }
+
+    /// Decode any binary session frame: the snapshot, plus the matcher
+    /// blob the frame names, if it names one (the snapshot's `matcher`
+    /// is then `None` until the caller resolves the blob).
+    pub(crate) fn decode_frame(bytes: &[u8]) -> Result<(SessionSnapshot, Option<MatcherBlobRef>)> {
         let payload = read_frame(
             bytes,
             SESSION_MAGIC,
@@ -348,10 +433,19 @@ impl SessionSnapshot {
         let train = r.get_varints()?;
         let train_labels = get_labels(&mut r)?;
         let membership = Membership::from_bytes(r.get_bytes()?)?;
-        let matcher = if r.get_bool()? {
-            Some(MatcherSnapshot::from_bytes(r.get_bytes()?)?)
-        } else {
-            None
+        let (matcher, blob) = match r.get_u8()? {
+            MATCHER_ABSENT => (None, None),
+            MATCHER_INLINE => (Some(MatcherSnapshot::from_bytes(r.get_bytes()?)?), None),
+            MATCHER_BLOB => {
+                let checksum = r.get_u64()?;
+                let len = r.get_u64()?;
+                (None, Some(MatcherBlobRef { checksum, len }))
+            }
+            other => {
+                return Err(EmError::Codec(format!(
+                    "SessionSnapshot: unknown matcher tag {other}"
+                )))
+            }
         };
         let n_iterations = r.get_varint_usize()?;
         if n_iterations > r.remaining() {
@@ -369,7 +463,7 @@ impl SessionSnapshot {
             None
         };
         r.finish()?;
-        Ok(SessionSnapshot {
+        let snapshot = SessionSnapshot {
             version,
             dataset,
             seed,
@@ -384,7 +478,8 @@ impl SessionSnapshot {
             matcher,
             iterations,
             pending,
-        })
+        };
+        Ok((snapshot, blob))
     }
 
     /// The snapshot's size in bytes under `codec` — what a serving

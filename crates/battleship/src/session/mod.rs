@@ -42,6 +42,7 @@
 mod binary;
 mod snapshot;
 
+pub(crate) use binary::MatcherBlobRef;
 pub use snapshot::{PendingSnapshot, SessionSnapshot, SNAPSHOT_VERSION};
 
 use std::collections::HashMap;

@@ -93,6 +93,15 @@ impl<'a> MatchSession<'a> {
     /// can't be serialized. All built-in strategies are stateless across
     /// iterations, so spec-rebuilding is exact.
     pub fn snapshot(&self) -> Result<SessionSnapshot> {
+        let mut snapshot = self.snapshot_without_matcher()?;
+        snapshot.matcher = self.matcher.as_ref().map(|m| m.to_snapshot());
+        Ok(snapshot)
+    }
+
+    /// [`MatchSession::snapshot`] with `matcher: None`, for a store that
+    /// persists the matcher on its own, once per training: capturing
+    /// the matcher copies every parameter.
+    pub(crate) fn snapshot_without_matcher(&self) -> Result<SessionSnapshot> {
         let strategy = self.strategy_spec.ok_or_else(|| {
             EmError::InvalidConfig(
                 "snapshot requires a session built from a StrategySpec \
@@ -124,7 +133,7 @@ impl<'a> MatchSession<'a> {
             train: self.train.clone(),
             train_labels: self.train_labels.clone(),
             membership: self.membership.clone(),
-            matcher: self.matcher.as_ref().map(|m| m.to_snapshot()),
+            matcher: None,
             iterations: self.iterations.clone(),
             pending,
         })

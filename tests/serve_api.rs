@@ -11,7 +11,7 @@ use battleship_em::api::{
     DirBackend, Label, MatchSession, MemoryBackend, PairIdx, RunReport, Scenario, SessionConfig,
     SessionPhase, SessionSnapshot, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
-use battleship_em::core::codec::fnv1a64;
+use battleship_em::core::codec::{fnv1a64, frame_checksum};
 use battleship_em::core::{EmError, Membership, RngState};
 use battleship_em::matcher::MatcherSnapshot;
 use proptest::prelude::*;
@@ -349,17 +349,45 @@ fn as_version_1(frame: &[u8]) -> Vec<u8> {
     body
 }
 
-/// Decoding a version-1 frame must fail on its version, before the
-/// checksum is even looked at.
-fn assert_version_rejected<T>(decoded: Result<T, EmError>, context: &str) {
+/// `frame` re-framed as format version 2 wrote it: the same envelope
+/// and word checksum with version byte 2. A version-2 session frame
+/// carried its matcher behind a presence byte (0 or 1), which format 3
+/// reads as its absent/inline tags, so for a frame without a blob
+/// reference this is byte-for-byte what the version-2 codec wrote.
+fn as_version_2(frame: &[u8]) -> Vec<u8> {
+    let mut body = frame[..frame.len() - 8].to_vec();
+    body[4] = 2;
+    let sum = frame_checksum(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Decoding a frame of an old format version must fail on its version,
+/// before the checksum is even looked at.
+fn assert_version_rejected<T>(decoded: Result<T, EmError>, context: &str, found: u8, expected: u8) {
+    let wanted = format!("unsupported format version {found} (expected {expected})");
     match decoded {
-        Err(EmError::Codec(msg)) => assert!(
-            msg.starts_with(context) && msg.contains("unsupported format version 1 (expected 2)"),
-            "{msg}"
-        ),
+        Err(EmError::Codec(msg)) => {
+            assert!(msg.starts_with(context) && msg.contains(&wanted), "{msg}")
+        }
         Err(other) => panic!("{context}: non-codec error {other}"),
-        Ok(_) => panic!("{context}: a version-1 frame decoded"),
+        Ok(_) => panic!("{context}: a version-{found} frame decoded"),
     }
+}
+
+/// Recovery over `[good, old]` quarantines the old-format newest frame
+/// and restores the good one under it.
+fn assert_old_frame_quarantined(good: &[u8], old: &[u8]) {
+    let backend = Arc::new(MemoryBackend::with_keep(4));
+    backend.put("s", good).unwrap();
+    backend.put("s", old).unwrap();
+    let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+    store.register_scenario(scenario());
+    let report = store.recover().unwrap();
+    assert_eq!(report.recovered, vec!["s".to_string()]);
+    assert_eq!(report.quarantined, vec![("s".to_string(), 1)]);
+    assert!(report.lost.is_empty());
+    assert_eq!(store.get("s").unwrap().phase, SessionPhase::AwaitingLabels);
 }
 
 /// Frames written by the version-1 codec (byte-wise FNV-1a checksum)
@@ -375,14 +403,23 @@ fn version_1_frames_are_rejected_and_quarantined() {
         snap.membership.to_bytes(),
         snap.matcher.as_ref().unwrap().to_bytes(),
     ];
-    assert_version_rejected(RngState::from_bytes(&as_version_1(&nested[0])), "RngState");
+    assert_version_rejected(
+        RngState::from_bytes(&as_version_1(&nested[0])),
+        "RngState",
+        1,
+        2,
+    );
     assert_version_rejected(
         Membership::from_bytes(&as_version_1(&nested[1])),
         "Membership",
+        1,
+        2,
     );
     assert_version_rejected(
         MatcherSnapshot::from_bytes(&as_version_1(&nested[2])),
         "MatcherSnapshot",
+        1,
+        2,
     );
     // A version-1 session frame nests version-1 frames of the same size.
     let mut old = bytes.clone();
@@ -395,18 +432,18 @@ fn version_1_frames_are_rejected_and_quarantined() {
     }
     let old = as_version_1(&old);
     assert_eq!(old.len(), bytes.len());
-    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot");
+    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 1, 3);
+    assert_old_frame_quarantined(bytes, &old);
+}
 
-    let backend = Arc::new(MemoryBackend::with_keep(4));
-    backend.put("s", bytes).unwrap();
-    backend.put("s", &old).unwrap();
-    let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
-    store.register_scenario(scenario());
-    let report = store.recover().unwrap();
-    assert_eq!(report.recovered, vec!["s".to_string()]);
-    assert_eq!(report.quarantined.len(), 1);
-    assert!(report.lost.is_empty());
-    assert_eq!(store.get("s").unwrap().phase, SessionPhase::AwaitingLabels);
+/// A version-2 session frame (format 3 has no version-2 read path) is
+/// rejected by its version and quarantined by recovery.
+#[test]
+fn version_2_session_frames_are_rejected_and_quarantined() {
+    let bytes = snapshot_bytes();
+    let old = as_version_2(bytes);
+    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 2, 3);
+    assert_old_frame_quarantined(bytes, &old);
 }
 
 proptest! {
