@@ -6,8 +6,10 @@
 //! crash-before-commit, silent bit corruption and latency — plus one
 //! full process "crash" (store dropped, fresh store over the same
 //! directory, `recover()`) in the middle of the run. Before the crash,
-//! one torn write and one silent corruption are *forced*, so every run
-//! exercises the quarantine-and-fall-back path, not just retry.
+//! a torn write and a silent corruption of a matcher blob and a silent
+//! corruption of a session frame are *forced*, so every run exercises
+//! the blob read-back and the quarantine-and-fall-back path, not just
+//! retry.
 //!
 //! Gates (all of them, every run):
 //!
@@ -195,18 +197,23 @@ fn main() {
     populate(&store, &scenario, &config, &plan);
 
     // Two rounds with per-round checkpoints. Round 1's first checkpoint
-    // put is forced torn (fails transiently, leaves a truncated frame on
-    // disk, retry rewrites it); round 2's first checkpoint put is forced
-    // silently corrupt — the newest frame of session `c00` at crash time
-    // is garbage, so the recovery below MUST fall back a generation.
+    // put is the matcher blob of `c00`'s fresh training: it is forced
+    // torn (fails transiently, leaves a truncated blob, retry rewrites
+    // it) and then silently corrupt (the read-back catches it, retry
+    // rewrites it). Round 2 checkpoints `c00` once, so its blob is
+    // persisted, then forces its next put silently corrupt — that put
+    // is a session frame, so the newest frame of `c00` at crash time is
+    // garbage and the recovery below MUST fall back a generation.
     for round in 0..2 {
         answer_batches(&store, &plan);
         store.step_ready_sessions().expect("step sessions");
-        backend.force_on_put(if round == 0 {
-            Fault::TornWrite
+        if round == 0 {
+            backend.force_on_put(Fault::TornWrite);
+            backend.force_on_put(Fault::Corrupt);
         } else {
-            Fault::Corrupt
-        });
+            store.checkpoint(&plan[0].0).expect("checkpoint c00");
+            backend.force_on_put(Fault::Corrupt);
+        }
         store.checkpoint_all().expect("checkpoint all");
     }
 
