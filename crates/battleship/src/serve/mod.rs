@@ -17,7 +17,9 @@
 //! * [`SnapshotCodec`] — the pluggable wire format: the original JSON
 //!   path or the compact checksummed binary frame
 //!   ([`SessionSnapshot::to_bytes`](crate::session::SessionSnapshot::to_bytes)),
-//!   both restoring bit-identically.
+//!   both restoring bit-identically. A binary store writes the matcher
+//!   once per training as its own blob and each checkpoint as a small
+//!   frame naming it.
 //! * [`SnapshotBackend`] — where encoded snapshots live:
 //!   [`MemoryBackend`] or the atomic-rename [`DirBackend`], both keeping
 //!   a bounded history of checkpoint *generations* per key so recovery

@@ -109,6 +109,11 @@ fn blob_key(id: &str) -> String {
     format!("{id}{MATCHER_BLOB_SUFFIX}")
 }
 
+/// Whether `key` names a matcher blob, which is never a session.
+fn is_blob_key(key: &str) -> bool {
+    key.ends_with(MATCHER_BLOB_SUFFIX)
+}
+
 /// Lock with `into_inner` poison recovery, for the store-level maps.
 ///
 /// Safe here because every critical section below mutates its map
@@ -422,7 +427,7 @@ impl SessionStore {
     /// Creating over a tombstoned (lost) id is allowed and clears the
     /// tombstone — the old state is unrecoverable by definition.
     pub fn create(&self, id: &str, scenario_name: &str, config: SessionConfig) -> Result<()> {
-        if id.ends_with(MATCHER_BLOB_SUFFIX) {
+        if is_blob_key(id) {
             return Err(EmError::InvalidConfig(format!(
                 "session id `{id}` ends in `{MATCHER_BLOB_SUFFIX}`, which names matcher blobs"
             )));
@@ -536,7 +541,7 @@ impl SessionStore {
         // A blob key is never a session (`recover` lists it, and a
         // caller may name it): reading its blobs as frames would
         // quarantine them.
-        if id.ends_with(MATCHER_BLOB_SUFFIX) {
+        if is_blob_key(id) {
             return Ok(Reload::Missing);
         }
         // Decode and restore outside every lock — this is the expensive
@@ -863,7 +868,7 @@ impl SessionStore {
     /// Permanently remove session `id` from memory and the backend, its
     /// matcher blob included (clears a loss tombstone too).
     pub fn delete(&self, id: &str) -> Result<()> {
-        if id.ends_with(MATCHER_BLOB_SUFFIX) {
+        if is_blob_key(id) {
             // Not a session id (`create` rejects these): nothing to delete,
             // and the blob key belongs to another session.
             return Ok(());

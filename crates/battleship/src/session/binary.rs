@@ -81,7 +81,7 @@ impl MatcherBlobRef {
     /// Whether `bytes` carry this reference's length and checksum
     /// trailer. Decoding the blob then verifies the checksum itself.
     pub(crate) fn names(&self, bytes: &[u8]) -> bool {
-        bytes.len() as u64 == self.len && MatcherBlobRef::of(bytes) == *self
+        MatcherBlobRef::of(bytes) == *self
     }
 }
 
@@ -583,6 +583,19 @@ mod tests {
         lean.phase = SessionPhase::SeedDraw;
         let back = SessionSnapshot::from_bytes(&lean.to_bytes()).unwrap();
         assert_eq!(back, lean);
+
+        // A frame naming a matcher blob round-trips the reference; only
+        // `decode_frame` accepts it.
+        let blob_bytes = snap.matcher.as_ref().unwrap().to_bytes();
+        let blob = MatcherBlobRef::of(&blob_bytes);
+        assert!(blob.names(&blob_bytes));
+        let mut loop_state = snap.clone();
+        loop_state.matcher = None;
+        let framed = loop_state.to_bytes_naming(blob);
+        let (back, named) = SessionSnapshot::decode_frame(&framed).unwrap();
+        assert_eq!((back, named), (loop_state, Some(blob)));
+        let err = SessionSnapshot::from_bytes(&framed).unwrap_err();
+        assert!(err.to_string().contains("matcher blob"), "{err}");
     }
 
     #[test]
