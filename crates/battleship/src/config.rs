@@ -130,10 +130,9 @@ impl BattleshipParams {
 
     /// The [`AnnPolicy`] this parameter set induces: the serialized
     /// `ann_cluster_threshold` sets the crossover, everything else takes
-    /// the policy defaults, and `EM_ANN_*` env vars override both (the
-    /// operator knob for forcing exact or ANN without editing configs).
+    /// the policy defaults.
     pub fn ann_policy(&self) -> AnnPolicy {
-        AnnPolicy::with_threshold(self.ann_cluster_threshold).env_overridden()
+        AnnPolicy::with_threshold(self.ann_cluster_threshold)
     }
 }
 

@@ -41,8 +41,9 @@ use crate::strategies::{SelectionContext, SelectionScratch, SelectionStrategy};
 use super::artifacts::DatasetArtifacts;
 use super::spec::{CellKind, RunSpec};
 
-/// A prepared run: dataset-level constants shared across iterations.
-pub struct ActiveLearningRun<'a> {
+/// A prepared run of the closed loop: dataset-level constants shared
+/// across iterations.
+pub(crate) struct ActiveLearningRun<'a> {
     dataset: &'a Dataset,
     features: &'a Embeddings,
     valid_idx: Vec<PairIdx>,
@@ -58,7 +59,7 @@ impl<'a> ActiveLearningRun<'a> {
     /// benchmark protocol the paper inherits from DITTO (§4.2: epoch
     /// selection by validation F1); the test set is only read for
     /// reporting.
-    pub fn new(dataset: &'a Dataset, features: &'a Embeddings) -> Result<Self> {
+    pub(crate) fn new(dataset: &'a Dataset, features: &'a Embeddings) -> Result<Self> {
         if features.len() != dataset.len() {
             return Err(EmError::DimensionMismatch {
                 context: "run features".into(),

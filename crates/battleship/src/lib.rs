@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # battleship
 //!
 //! The paper's contribution: a spatially-aware active-learning selection
@@ -88,7 +89,7 @@ pub use engine::{
     ScenarioSource,
 };
 pub use report::{GridCell, GridReport, IterationRecord, MultiSeedReport, RunReport};
-pub use runner::{run_active_learning, run_closed_loop, ActiveLearningRun};
+pub use runner::{run_active_learning, run_closed_loop};
 pub use serve::{
     DirBackend, MemoryBackend, SessionStatus, SessionStore, SnapshotBackend, SnapshotCodec,
 };

@@ -16,8 +16,6 @@
 //! `em-bench` session bench gates the step machinery's overhead
 //! against it.
 
-pub use crate::engine::worker::ActiveLearningRun;
-
 use em_core::{Dataset, Oracle, Result};
 use em_vector::Embeddings;
 

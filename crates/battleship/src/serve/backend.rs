@@ -58,22 +58,13 @@ pub trait SnapshotBackend: Send + Sync {
     fn keys(&self) -> Result<Vec<String>>;
 
     /// Every retained frame of `key`, newest first, as
-    /// `(generation, bytes)` pairs. Single-frame backends return at most
-    /// one entry with generation 0; the default forwards to
-    /// [`SnapshotBackend::get`].
-    fn history(&self, key: &str) -> Result<Vec<(u64, Vec<u8>)>> {
-        Ok(self
-            .get(key)?
-            .map(|bytes| vec![(0, bytes)])
-            .unwrap_or_default())
-    }
+    /// `(generation, bytes)` pairs. A generation names one frame for
+    /// good: it is never reused for a later `put` of the same key.
+    fn history(&self, key: &str) -> Result<Vec<(u64, Vec<u8>)>>;
 
     /// Move the given frame aside so recovery never reads it again
-    /// (called on frames that fail to decode). Backends without frame
-    /// storage may treat this as bookkeeping-only; it must be idempotent.
-    fn quarantine(&self, _key: &str, _generation: u64) -> Result<()> {
-        Ok(())
-    }
+    /// (called on frames that fail to decode). Must be idempotent.
+    fn quarantine(&self, key: &str, generation: u64) -> Result<()>;
 }
 
 /// Delegation through shared ownership: `Arc<B>` is a backend whenever

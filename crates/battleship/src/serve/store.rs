@@ -26,6 +26,11 @@
 //!   heavier than a session's loop state. The store resolves scenarios
 //!   through the engine's [`ArtifactCache`], so a thousand sessions of
 //!   one scenario hold a thousand `Arc`s to one allocation.
+//! * **A stored session owns what it reads.** Each session holds its
+//!   scenario's `Arc` itself and owns its strategy, so it borrows
+//!   nothing and is `Send` as it stands; evicting or deleting it drops
+//!   its `Arc`, and [`SessionStore::artifacts`] hands out that same
+//!   allocation.
 //! * **Sessions live behind per-session locks.** The store-level map
 //!   lock is held only for lookup/insert/unlink (plus `delete`'s cheap
 //!   backend removal, which must be atomic with the unlink); every
@@ -85,13 +90,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rayon::prelude::*;
 
-use em_core::{Dataset, EmError, Label, PairIdx, Result};
+use em_core::{EmError, Label, PairIdx, Result};
 use em_matcher::MatcherSnapshot;
-use em_vector::Embeddings;
 
 use crate::engine::{ArtifactCache, DatasetArtifacts, Scenario};
 use crate::report::RunReport;
 use crate::session::{MatchSession, MatcherBlobRef, SessionConfig, SessionPhase, SessionSnapshot};
+use crate::strategies::SelectionStrategy;
 
 use super::backend::SnapshotBackend;
 use super::codec::SnapshotCodec;
@@ -124,22 +129,11 @@ fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A live session pinned to the artifacts it borrows.
-///
-/// [`MatchSession`] borrows its dataset and features for a lifetime
-/// `'a`; the store needs to own sessions in a map while the borrowed
-/// artifacts live in `Arc`s *in the same entry*. The borrow is
-/// expressed as `'static` internally and never leaves this module: the
-/// public API only returns owned data (phases, batches, snapshots,
-/// reports).
+/// A session the store owns, with its store bookkeeping.
 struct SessionCell {
-    /// Declared first so it drops before `artifacts` (field order is
-    /// drop order) — the session's borrows never outlive their target.
-    session: MatchSession<'static>,
-    /// Keeps the borrowed artifacts alive for the cell's lifetime.
-    artifacts: Arc<DatasetArtifacts>,
-    /// The scenario key the session runs on (recovery bookkeeping).
-    scenario: String,
+    /// The session, which shares its scenario's artifacts through the
+    /// cache's `Arc` and owns everything else, so the cell is `Send`.
+    session: MatchSession<'static, dyn SelectionStrategy + Send>,
     /// Tombstone, set under the cell lock when `evict`/`delete`
     /// detaches the cell from the map. A caller that cloned the cell's
     /// `Arc` *before* the detach and acquires the lock *after* it must
@@ -158,46 +152,10 @@ struct SessionCell {
     blob: Option<(usize, MatcherBlobRef)>,
 }
 
-// SAFETY: a `SessionCell` is always built through `SessionCell::open` /
-// `SessionCell::restore`, both of which construct the session from a
-// `SessionConfig` — the *owned* strategy path (`Box<dyn SelectionStrategy
-// + Send>`). The only non-Send variant of `MatchSession`'s internals is
-// the borrowed-strategy slot, which cannot occur here, and the `&'static
-// Dataset`/`&'static Embeddings` borrows point into the immutable,
-// `Sync` artifacts the cell itself keeps alive.
-unsafe impl Send for SessionCell {}
-
 impl SessionCell {
-    /// Project `'static` references into the `Arc`'d artifacts.
-    ///
-    /// SAFETY (for both callers below): the references point into the
-    /// heap allocation owned by `artifacts`; the cell holds that `Arc`
-    /// for at least as long as the session (drop order), the artifacts
-    /// are immutable, and an `Arc`'s pointee never moves.
-    fn project(artifacts: &Arc<DatasetArtifacts>) -> (&'static Dataset, &'static Embeddings) {
-        // SAFETY: per the contract above — both pointers target the
-        // heap allocation `artifacts` owns; the cell holds that `Arc`
-        // at least as long as the session (field drop order), the
-        // artifacts are immutable, and an `Arc`'s pointee never moves.
-        unsafe {
-            (
-                &*(&artifacts.dataset as *const Dataset),
-                &*(&artifacts.features as *const Embeddings),
-            )
-        }
-    }
-
-    fn open(
-        artifacts: Arc<DatasetArtifacts>,
-        scenario: String,
-        config: SessionConfig,
-    ) -> Result<Self> {
-        let (dataset, features) = Self::project(&artifacts);
-        let session = MatchSession::new(dataset, features, config)?;
+    fn open(artifacts: Arc<DatasetArtifacts>, config: SessionConfig) -> Result<Self> {
         Ok(SessionCell {
-            session,
-            artifacts,
-            scenario,
+            session: MatchSession::shared(artifacts, config)?,
             detached: false,
             last_touch: 0,
             blob: None,
@@ -209,17 +167,13 @@ impl SessionCell {
     /// same training does not write it again.
     fn restore(
         artifacts: Arc<DatasetArtifacts>,
-        scenario: String,
         snapshot: &SessionSnapshot,
         blob: Option<MatcherBlobRef>,
     ) -> Result<Self> {
-        let (dataset, features) = Self::project(&artifacts);
-        let session = MatchSession::restore(dataset, features, snapshot)?;
+        let session = MatchSession::restore_shared(artifacts, snapshot)?;
         Ok(SessionCell {
             blob: blob.map(|blob| (session.records().len(), blob)),
             session,
-            artifacts,
-            scenario,
             detached: false,
             last_touch: 0,
         })
@@ -439,7 +393,7 @@ impl SessionStore {
             )));
         }
         let artifacts = self.cache.get_or_materialize(&scenario)?;
-        let mut cell = SessionCell::open(artifacts, scenario_name.to_string(), config)?;
+        let mut cell = SessionCell::open(artifacts, config)?;
         cell.last_touch = self.clock.fetch_add(1, Ordering::Relaxed);
         {
             let mut sessions = locked(&self.sessions);
@@ -577,7 +531,7 @@ impl SessionStore {
         };
         let scenario = self.scenario_named(&snapshot.dataset)?;
         let artifacts = self.cache.get_or_materialize(&scenario)?;
-        let mut cell = SessionCell::restore(artifacts, snapshot.dataset.clone(), &snapshot, blob)?;
+        let mut cell = SessionCell::restore(artifacts, &snapshot, blob)?;
         cell.last_touch = self.clock.fetch_add(1, Ordering::Relaxed);
         let installed = {
             let mut sessions = locked(&self.sessions);
@@ -697,7 +651,11 @@ impl SessionStore {
     /// front-end needs to render query pairs (records, schema, feature
     /// rows). Cheap: clones an `Arc`, never the data.
     pub fn artifacts(&self, id: &str) -> Result<Arc<DatasetArtifacts>> {
-        self.with_cell(id, |cell| Ok(cell.artifacts.clone()))
+        self.with_cell(id, |cell| {
+            cell.session.artifacts().cloned().ok_or_else(|| {
+                EmError::Internal(format!("session `{id}` does not share its artifacts"))
+            })
+        })
     }
 
     /// An owned status view of session `id`.
@@ -705,7 +663,7 @@ impl SessionStore {
         self.with_cell(id, |cell| {
             Ok(SessionStatus {
                 id: id.to_string(),
-                scenario: cell.scenario.clone(),
+                scenario: cell.session.dataset().name.clone(),
                 phase: cell.session.phase(),
                 labels_used: cell.session.labels_used(),
                 pool_remaining: cell.session.pool_remaining(),
@@ -1061,11 +1019,9 @@ mod tests {
         assert_eq!(store.resident_ids(), vec!["s1", "s2"]);
 
         // Both sessions borrow the same materialized artifacts.
-        let a = store.cell("s1").unwrap();
-        let b = store.cell("s2").unwrap();
         assert!(Arc::ptr_eq(
-            &a.lock().unwrap().artifacts,
-            &b.lock().unwrap().artifacts
+            &store.artifacts("s1").unwrap(),
+            &store.artifacts("s2").unwrap()
         ));
 
         let s = store.get("s1").unwrap();
@@ -1075,6 +1031,42 @@ mod tests {
         let report = store.report("s1").unwrap();
         assert_eq!(report.iterations.len(), 2);
         assert_eq!(store.get("s1").unwrap().phase, SessionPhase::Done);
+    }
+
+    #[test]
+    fn sessions_share_the_cache_artifacts_and_release_them() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let cache = Arc::new(ArtifactCache::new());
+        let cached = cache.get_or_materialize(&scenario).unwrap();
+        let store =
+            SessionStore::with_cache(Box::new(MemoryBackend::new()), SnapshotCodec::Binary, cache);
+        store.register_scenario(scenario.clone());
+        let before = Arc::strong_count(&cached);
+
+        store
+            .create("s", scenario.name(), quick_config(StrategySpec::Random, 1))
+            .unwrap();
+        assert!(Arc::ptr_eq(&store.artifacts("s").unwrap(), &cached));
+        assert_eq!(Arc::strong_count(&cached), before + 1);
+        store.delete("s").unwrap();
+        assert_eq!(
+            Arc::strong_count(&cached),
+            before,
+            "delete kept the artifacts"
+        );
+
+        store
+            .create("s", scenario.name(), quick_config(StrategySpec::Random, 2))
+            .unwrap();
+        store.advance("s").unwrap();
+        store.evict("s").unwrap();
+        assert_eq!(
+            Arc::strong_count(&cached),
+            before,
+            "evict kept the artifacts"
+        );
+        // A reload shares the cached artifacts again.
+        assert!(Arc::ptr_eq(&store.artifacts("s").unwrap(), &cached));
     }
 
     #[test]

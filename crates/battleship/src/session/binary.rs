@@ -6,13 +6,14 @@
 //! This module encodes the complete snapshot into one checksummed
 //! little-endian frame (see `em_core::codec` for the wire primitives,
 //! the word-wide frame checksum and the corruption-detection contract):
-//! a `BSSS` magic, a format version byte (3; a frame of any other
+//! a `BSSS` magic, a format version byte (4; a frame of any other
 //! version is rejected), every scalar field in declaration order, and
 //! the nested checkpointable types ([`RngState`](em_core::RngState),
-//! [`Membership`](em_core::Membership),
 //! [`MatcherSnapshot`](em_matcher::MatcherSnapshot)) embedded as their
 //! own framed blocks — each carries its own magic/version/checksum, so
 //! a format bump in any layer is detected exactly where it happens.
+//! The session's scratch membership set is not in the frame: every step
+//! clears it before use, so a restored session rebuilds it empty.
 //!
 //! The matcher field is a tag: absent (no training yet), inline (the
 //! matcher's own frame follows), or a blob reference — the checksum and
@@ -32,7 +33,7 @@
 //! [`EmError::Codec`](em_core::EmError) — never a panic.
 
 use em_core::codec::{read_frame, write_frame, ByteReader, ByteWriter};
-use em_core::{EmError, Label, Membership, Result, RngState};
+use em_core::{EmError, Label, Result, RngState};
 use em_matcher::{MatcherConfig, MatcherSnapshot};
 
 use crate::config::{ALConfig, BattleshipParams, CentralityMeasure, ExperimentConfig, WeakMethod};
@@ -44,7 +45,7 @@ use super::{PendingSnapshot, SessionPhase, SessionSnapshot};
 /// Binary frame magic for [`SessionSnapshot`].
 const SESSION_MAGIC: [u8; 4] = *b"BSSS";
 /// Binary format version for [`SessionSnapshot`] frames.
-const SESSION_BINARY_VERSION: u8 = 3;
+const SESSION_BINARY_VERSION: u8 = 4;
 
 /// Matcher field tag: no matcher trained yet.
 const MATCHER_ABSENT: u8 = 0;
@@ -348,7 +349,7 @@ impl SessionSnapshot {
         };
         let mut w = ByteWriter::with_capacity(
             matcher_bytes.as_ref().map_or(0, |b| b.len())
-                + 4 * (self.pool.len() + self.train.len() + self.membership.capacity())
+                + 4 * (self.pool.len() + self.train.len())
                 + 256,
         );
         w.put_u32(self.version);
@@ -361,7 +362,6 @@ impl SessionSnapshot {
         w.put_varints(&self.pool);
         w.put_varints(&self.train);
         put_labels(&mut w, &self.train_labels);
-        w.put_bytes(&self.membership.to_bytes());
         match (blob, &matcher_bytes) {
             (Some(blob), _) => {
                 w.put_u8(MATCHER_BLOB);
@@ -432,7 +432,6 @@ impl SessionSnapshot {
         let pool = r.get_varints()?;
         let train = r.get_varints()?;
         let train_labels = get_labels(&mut r)?;
-        let membership = Membership::from_bytes(r.get_bytes()?)?;
         let (matcher, blob) = match r.get_u8()? {
             MATCHER_ABSENT => (None, None),
             MATCHER_INLINE => (Some(MatcherSnapshot::from_bytes(r.get_bytes()?)?), None),
@@ -474,7 +473,6 @@ impl SessionSnapshot {
             pool,
             train,
             train_labels,
-            membership,
             matcher,
             iterations,
             pending,
@@ -496,9 +494,6 @@ mod tests {
 
     /// A hand-built snapshot exercising every optional field.
     fn sample_snapshot() -> SessionSnapshot {
-        let mut membership = Membership::new(12);
-        membership.insert(3);
-        membership.insert(7);
         SessionSnapshot {
             version: super::super::SNAPSHOT_VERSION,
             dataset: "amazon-google@0.04".into(),
@@ -510,7 +505,6 @@ mod tests {
             pool: vec![0, 2, 5, 9, 11],
             train: vec![1, 4],
             train_labels: vec![Label::Match, Label::NonMatch],
-            membership,
             matcher: Some(MatcherSnapshot {
                 input_dim: 4,
                 hidden: vec![3, 2],

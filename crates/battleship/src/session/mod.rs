@@ -46,6 +46,7 @@ pub(crate) use binary::MatcherBlobRef;
 pub use snapshot::{PendingSnapshot, SessionSnapshot, SNAPSHOT_VERSION};
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use em_core::{BinaryConfusion, Dataset, EmError, Label, Membership, Oracle, PairIdx, Result, Rng};
@@ -53,6 +54,7 @@ use em_matcher::{train_matcher, MatcherConfig, TrainedMatcher};
 use em_vector::Embeddings;
 
 use crate::config::ExperimentConfig;
+use crate::engine::DatasetArtifacts;
 use crate::report::{IterationRecord, RunReport};
 use crate::strategies::{SelectionContext, SelectionScratch, SelectionStrategy, StrategySpec};
 
@@ -164,25 +166,26 @@ impl PendingBatch {
     }
 }
 
-/// The strategy a session steps: owned (built from a [`StrategySpec`],
-/// checkpointable) or borrowed (caller-managed, the engine/runner path).
-enum StrategySlot<'a> {
-    Owned(Box<dyn SelectionStrategy + Send>),
-    Borrowed(&'a mut dyn SelectionStrategy),
+/// The immutable artifacts a session reads: borrowed from the caller,
+/// or shared through the `Arc` a [`SessionStore`](crate::serve::SessionStore)
+/// gets from its artifact cache, so a stored session owns what it reads.
+enum Data<'a> {
+    Borrowed(&'a Dataset, &'a Embeddings),
+    Shared(Arc<DatasetArtifacts>),
 }
 
-impl StrategySlot<'_> {
-    fn get(&mut self) -> &mut dyn SelectionStrategy {
+impl Data<'_> {
+    fn dataset(&self) -> &Dataset {
         match self {
-            StrategySlot::Owned(s) => s.as_mut(),
-            StrategySlot::Borrowed(s) => *s,
+            Data::Borrowed(dataset, _) => dataset,
+            Data::Shared(artifacts) => &artifacts.dataset,
         }
     }
 
-    fn name(&self) -> String {
+    fn features(&self) -> &Embeddings {
         match self {
-            StrategySlot::Owned(s) => s.name(),
-            StrategySlot::Borrowed(s) => s.name(),
+            Data::Borrowed(_, features) => features,
+            Data::Shared(artifacts) => &artifacts.features,
         }
     }
 }
@@ -194,6 +197,10 @@ impl StrategySlot<'_> {
 /// closed-loop equivalent — [`MatchSession::drive`] against an oracle —
 /// reproduces [`crate::runner::run_closed_loop`] bit-identically
 /// (modulo wall-clock).
+///
+/// `S` is the strategy type the session steps; the default, a boxed
+/// `dyn` [`SelectionStrategy`], is what every public constructor
+/// returns.
 ///
 /// ```
 /// use battleship::api::{MatchSession, SessionConfig, SessionPhase, StrategySpec};
@@ -237,11 +244,10 @@ impl StrategySlot<'_> {
 /// assert_eq!(report.iterations.len(), 2); // seed model + 1 iteration
 /// assert_eq!(oracle.queries(), 20); // 10 seed + 10 selected
 /// ```
-pub struct MatchSession<'a> {
-    dataset: &'a Dataset,
-    features: &'a Embeddings,
+pub struct MatchSession<'a, S: ?Sized = dyn SelectionStrategy + 'a> {
+    data: Data<'a>,
     config: ExperimentConfig,
-    strategy: StrategySlot<'a>,
+    strategy: Box<S>,
     /// Set when the strategy was built from a spec (required for
     /// checkpointing).
     strategy_spec: Option<StrategySpec>,
@@ -249,6 +255,8 @@ pub struct MatchSession<'a> {
     rng: Rng,
     /// Unlabeled pool, shrinking as batches are emitted.
     pool: Vec<PairIdx>,
+    /// Scratch set for the seed draw and selection checks: every use
+    /// starts with `begin()`, so it is never snapshotted.
     membership: Membership,
     train: Vec<PairIdx>,
     train_labels: Vec<Label>,
@@ -275,11 +283,9 @@ impl<'a> MatchSession<'a> {
         features: &'a Embeddings,
         config: SessionConfig,
     ) -> Result<Self> {
-        let strategy = StrategySlot::Owned(config.strategy.build());
         Self::open(
-            dataset,
-            features,
-            strategy,
+            Data::Borrowed(dataset, features),
+            config.strategy.build(),
             Some(config.strategy),
             config.experiment,
             config.seed,
@@ -298,24 +304,40 @@ impl<'a> MatchSession<'a> {
         seed: u64,
     ) -> Result<Self> {
         Self::open(
-            dataset,
-            features,
-            StrategySlot::Borrowed(strategy),
+            Data::Borrowed(dataset, features),
+            Box::new(strategy),
             None,
             experiment,
             seed,
         )
     }
+}
 
+impl MatchSession<'static, dyn SelectionStrategy + Send> {
+    /// Open a session that shares `artifacts` and owns its strategy, so
+    /// it is `Send` and borrows nothing: what a
+    /// [`SessionStore`](crate::serve::SessionStore) holds.
+    pub(crate) fn shared(artifacts: Arc<DatasetArtifacts>, config: SessionConfig) -> Result<Self> {
+        Self::open(
+            Data::Shared(artifacts),
+            config.strategy.build(),
+            Some(config.strategy),
+            config.experiment,
+            config.seed,
+        )
+    }
+}
+
+impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
     fn open(
-        dataset: &'a Dataset,
-        features: &'a Embeddings,
-        strategy: StrategySlot<'a>,
+        data: Data<'a>,
+        strategy: Box<S>,
         strategy_spec: Option<StrategySpec>,
         config: ExperimentConfig,
         seed: u64,
     ) -> Result<Self> {
         config.validate()?;
+        let (dataset, features) = (data.dataset(), data.features());
         if features.len() != dataset.len() {
             return Err(EmError::DimensionMismatch {
                 context: "run features".into(),
@@ -338,8 +360,7 @@ impl<'a> MatchSession<'a> {
         let test_labels = dataset.ground_truth_of(&test_idx);
         let membership = Membership::new(dataset.len());
         Ok(MatchSession {
-            dataset,
-            features,
+            data,
             config,
             strategy,
             strategy_spec,
@@ -411,10 +432,24 @@ impl<'a> MatchSession<'a> {
         self.matcher.as_ref()
     }
 
+    /// The dataset the session runs on.
+    pub(crate) fn dataset(&self) -> &Dataset {
+        self.data.dataset()
+    }
+
+    /// The shared artifacts the session reads, when it was opened on
+    /// them rather than on borrowed data.
+    pub(crate) fn artifacts(&self) -> Option<&Arc<DatasetArtifacts>> {
+        match &self.data {
+            Data::Shared(artifacts) => Some(artifacts),
+            Data::Borrowed(..) => None,
+        }
+    }
+
     /// The report of everything recorded so far.
     pub fn report(&self) -> RunReport {
         RunReport {
-            dataset: self.dataset.name.clone(),
+            dataset: self.data.dataset().name.clone(),
             strategy: self.strategy.name(),
             seed: self.seed,
             iterations: self.iterations.clone(),
@@ -425,7 +460,7 @@ impl<'a> MatchSession<'a> {
     /// out instead of cloning them).
     pub fn into_report(self) -> RunReport {
         RunReport {
-            dataset: self.dataset.name.clone(),
+            dataset: self.data.dataset().name.clone(),
             strategy: self.strategy.name(),
             seed: self.seed,
             iterations: self.iterations,
@@ -543,7 +578,7 @@ impl<'a> MatchSession<'a> {
                     let labels: Vec<(PairIdx, Label)> = self
                         .next_query_batch()
                         .into_iter()
-                        .map(|p| (p, oracle.label(self.dataset, p)))
+                        .map(|p| (p, oracle.label(self.data.dataset(), p)))
                         .collect();
                     self.submit_labels(&labels)?;
                 }
@@ -576,7 +611,7 @@ impl<'a> MatchSession<'a> {
             if chosen.len() >= seed_size {
                 break;
             }
-            let label = self.dataset.ground_truth(idx);
+            let label = self.data.dataset().ground_truth(idx);
             let take = if label.is_match() {
                 if n_pos < half {
                     n_pos += 1;
@@ -679,13 +714,14 @@ impl<'a> MatchSession<'a> {
         };
         // em-lint: allow(wall-clock) -- fills a RunReport timing field; canonical() zeroes it
         let t_select = Instant::now();
-        let pool_out = matcher.predict(self.features, &self.pool)?;
-        let train_out = matcher.predict(self.features, &self.train)?;
+        let features = self.data.features();
+        let pool_out = matcher.predict(features, &self.pool)?;
+        let train_out = matcher.predict(features, &self.train)?;
 
         let budget = self.config.al.budget.min(self.pool.len());
         let mut ctx = SelectionContext {
-            dataset: self.dataset,
-            features: self.features,
+            dataset: self.data.dataset(),
+            features,
             pool: &self.pool,
             train: &self.train,
             train_labels: &self.train_labels,
@@ -697,7 +733,7 @@ impl<'a> MatchSession<'a> {
             config: &self.config,
             scratch: &mut self.scratch,
         };
-        let selection = self.strategy.get().select(&mut ctx, &mut self.rng)?;
+        let selection = self.strategy.select(&mut ctx, &mut self.rng)?;
         let select_secs = t_select.elapsed().as_secs_f64();
 
         if selection.to_label.len() > budget {
@@ -756,15 +792,16 @@ impl<'a> MatchSession<'a> {
             idx.push(p);
             labels.push(l);
         }
+        let features = self.data.features();
         let matcher = train_matcher(
-            self.features,
+            features,
             &idx,
             &labels,
             &self.valid_idx,
             &self.valid_labels,
             matcher_config,
         )?;
-        let out = matcher.predict(self.features, &self.test_idx)?;
+        let out = matcher.predict(features, &self.test_idx)?;
         let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
         let metrics = BinaryConfusion::from_labels(&predicted, &self.test_labels)?.metrics();
         Ok((matcher, metrics))

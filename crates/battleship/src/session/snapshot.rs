@@ -7,7 +7,12 @@
 //! partially-received labels — but *not* the dataset or its features:
 //! those are immutable artifacts the caller re-supplies on restore
 //! (they are orders of magnitude larger than the loop state and
-//! already shared via [`crate::engine::ArtifactCache`]).
+//! already shared via [`crate::engine::ArtifactCache`]). Nor does it
+//! capture scratch state the session rebuilds: the membership set every
+//! step clears before use, the selection scratch, the pending batch's
+//! position index and the dataset's valid/test labels.
+//! A JSON snapshot that still has a `membership` key restores:
+//! deserialization ignores unknown keys.
 //!
 //! The contract, pinned by `tests/session_api.rs`: snapshot at *any*
 //! phase, serialize to JSON, deserialize, [`MatchSession::restore`],
@@ -15,17 +20,20 @@
 //! the uninterrupted run's bit-for-bit (modulo wall-clock fields
 //! recorded after the restore point).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
-use em_core::{Dataset, EmError, Label, Membership, PairIdx, Result, Rng, RngState};
+use em_core::{Dataset, EmError, Label, PairIdx, Result, Rng, RngState};
 use em_matcher::{MatcherSnapshot, TrainedMatcher};
 use em_vector::Embeddings;
 
 use crate::config::ExperimentConfig;
+use crate::engine::DatasetArtifacts;
 use crate::report::IterationRecord;
-use crate::strategies::StrategySpec;
+use crate::strategies::{SelectionStrategy, StrategySpec};
 
-use super::{BatchKind, MatchSession, PendingBatch, SessionPhase, StrategySlot};
+use super::{BatchKind, Data, MatchSession, PendingBatch, SessionPhase};
 
 /// Snapshot format version, bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -74,8 +82,6 @@ pub struct SessionSnapshot {
     pub train: Vec<PairIdx>,
     /// Labels aligned with `train`.
     pub train_labels: Vec<Label>,
-    /// The reusable membership set (stamps + generation).
-    pub membership: Membership,
     /// The current model, if the first training step has run.
     pub matcher: Option<MatcherSnapshot>,
     /// Per-iteration records so far.
@@ -84,7 +90,7 @@ pub struct SessionSnapshot {
     pub pending: Option<PendingSnapshot>,
 }
 
-impl<'a> MatchSession<'a> {
+impl<S: SelectionStrategy + ?Sized> MatchSession<'_, S> {
     /// Capture the session's complete loop state for persistence.
     ///
     /// Only sessions opened from a [`SessionConfig`](super::SessionConfig)
@@ -123,7 +129,7 @@ impl<'a> MatchSession<'a> {
         });
         Ok(SessionSnapshot {
             version: SNAPSHOT_VERSION,
-            dataset: self.dataset.name.clone(),
+            dataset: self.data.dataset().name.clone(),
             seed: self.seed,
             strategy,
             config: self.config.clone(),
@@ -132,13 +138,14 @@ impl<'a> MatchSession<'a> {
             pool: self.pool.clone(),
             train: self.train.clone(),
             train_labels: self.train_labels.clone(),
-            membership: self.membership.clone(),
             matcher: None,
             iterations: self.iterations.clone(),
             pending,
         })
     }
+}
 
+impl<'a> MatchSession<'a> {
     /// Rebuild a session from a snapshot against the (re-supplied)
     /// immutable dataset artifacts.
     ///
@@ -151,24 +158,38 @@ impl<'a> MatchSession<'a> {
         features: &'a Embeddings,
         snapshot: &SessionSnapshot,
     ) -> Result<MatchSession<'a>> {
+        Self::restored(
+            Data::Borrowed(dataset, features),
+            snapshot.strategy.build(),
+            snapshot,
+        )
+    }
+}
+
+impl MatchSession<'static, dyn SelectionStrategy + Send> {
+    /// [`MatchSession::restore`] onto shared artifacts, for the store.
+    pub(crate) fn restore_shared(
+        artifacts: Arc<DatasetArtifacts>,
+        snapshot: &SessionSnapshot,
+    ) -> Result<Self> {
+        Self::restored(Data::Shared(artifacts), snapshot.strategy.build(), snapshot)
+    }
+}
+
+impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
+    fn restored(data: Data<'a>, strategy: Box<S>, snapshot: &SessionSnapshot) -> Result<Self> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(EmError::InvalidConfig(format!(
                 "unsupported session snapshot version {} (expected {SNAPSHOT_VERSION})",
                 snapshot.version
             )));
         }
+        let dataset = data.dataset();
         if snapshot.dataset != dataset.name {
             return Err(EmError::InvalidConfig(format!(
                 "snapshot belongs to dataset `{}`, not `{}`",
                 snapshot.dataset, dataset.name
             )));
-        }
-        if snapshot.membership.capacity() != dataset.len() {
-            return Err(EmError::DimensionMismatch {
-                context: "session snapshot membership".into(),
-                expected: dataset.len(),
-                actual: snapshot.membership.capacity(),
-            });
         }
         if snapshot.train.len() != snapshot.train_labels.len() {
             return Err(EmError::DimensionMismatch {
@@ -204,10 +225,9 @@ impl<'a> MatchSession<'a> {
         // Open a fresh session (re-deriving the dataset-level constants
         // and validating config/features), then overwrite the loop
         // state with the snapshot's.
-        let mut session = MatchSession::open(
-            dataset,
-            features,
-            StrategySlot::Owned(snapshot.strategy.build()),
+        let mut session = Self::open(
+            data,
+            strategy,
             Some(snapshot.strategy),
             snapshot.config.clone(),
             snapshot.seed,
@@ -216,7 +236,6 @@ impl<'a> MatchSession<'a> {
         session.pool = snapshot.pool.clone();
         session.train = snapshot.train.clone();
         session.train_labels = snapshot.train_labels.clone();
-        session.membership = snapshot.membership.clone();
         session.matcher = snapshot
             .matcher
             .as_ref()

@@ -172,6 +172,19 @@ pub trait SelectionStrategy {
     fn select(&mut self, ctx: &mut SelectionContext<'_>, rng: &mut Rng) -> Result<Selection>;
 }
 
+/// A borrowed strategy steps as the strategy it borrows: how
+/// [`MatchSession::with_strategy`](crate::session::MatchSession::with_strategy)
+/// boxes a caller-managed instance.
+impl<S: SelectionStrategy + ?Sized> SelectionStrategy for &mut S {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn select(&mut self, ctx: &mut SelectionContext<'_>, rng: &mut Rng) -> Result<Selection> {
+        (**self).select(ctx, rng)
+    }
+}
+
 /// Split pool positions by the model's predicted side.
 pub(crate) fn split_by_prediction(preds: &[Prediction]) -> (Vec<usize>, Vec<usize>) {
     let mut pos = Vec::new();

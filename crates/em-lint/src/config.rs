@@ -9,7 +9,7 @@
 //!   `RunReport`/`GridReport` or in snapshot bytes (PR 3/5/8 promise
 //!   bit-identical results across thread counts and checkpoints);
 //! - the env allowlist names the sanctioned config-read sites
-//!   (`EM_SIMD_TIER`, `EM_ANN_*`, bench knobs).
+//!   (`EM_SIMD_TIER`, bench knobs).
 
 /// Path scopes and allowlists consumed by the rules. All entries are
 /// workspace-relative prefixes with forward slashes; a file is in
@@ -54,8 +54,6 @@ impl LintConfig {
             env_allowlist: vec![
                 // Runtime ISA dispatch override (EM_SIMD_TIER).
                 "crates/em-vector/src/kernel.rs".into(),
-                // ANN routing policy overrides (EM_ANN_*).
-                "crates/em-vector/src/policy.rs".into(),
                 // Bench harness knobs (EM_BENCH_*).
                 "crates/em-bench/".into(),
             ],

@@ -7,9 +7,9 @@
 //! that measurement only routed graph-edge construction, and every call
 //! site carried its own `ann_threshold: usize` guess. [`AnnPolicy`] is
 //! the one place the decision lives: stages ask `use_ann(n)` and share
-//! the same crossover default, shortlist width and subsample cap, with
-//! env-variable overrides for operators
-//! (`EM_ANN_THRESHOLD` / `EM_ANN_TOP_M` / `EM_ANN_SAMPLE_CAP`).
+//! the same crossover default, shortlist width and subsample cap. The
+//! policy is a plain value: a run's routing follows from its config
+//! alone, never from the environment.
 //!
 //! Consumers today: graph-edge construction (`em-graph::build`), the
 //! k-selection silhouette fallback (`em-cluster::kselect`), constrained
@@ -33,13 +33,6 @@ pub const DEFAULT_ANN_TOP_M: usize = 16;
 /// (e.g. the silhouette neighbor cache); per the sweep, HNSW build over
 /// ≤4096 points costs well under a second.
 pub const DEFAULT_ANN_SAMPLE_CAP: usize = 4096;
-
-/// Env var overriding [`AnnPolicy::threshold`].
-pub const ENV_ANN_THRESHOLD: &str = "EM_ANN_THRESHOLD";
-/// Env var overriding [`AnnPolicy::top_m`].
-pub const ENV_ANN_TOP_M: &str = "EM_ANN_TOP_M";
-/// Env var overriding [`AnnPolicy::sample_cap`].
-pub const ENV_ANN_SAMPLE_CAP: &str = "EM_ANN_SAMPLE_CAP";
 
 /// When (and how) a stage should switch from its exact kernel to HNSW.
 ///
@@ -91,22 +84,6 @@ impl AnnPolicy {
         AnnPolicy::with_threshold(0)
     }
 
-    /// Apply `EM_ANN_THRESHOLD` / `EM_ANN_TOP_M` / `EM_ANN_SAMPLE_CAP`
-    /// env overrides on top of `self`. Unparseable values are ignored
-    /// (the configured value wins) so a stray export can't break runs.
-    pub fn env_overridden(mut self) -> Self {
-        if let Some(t) = env_usize(ENV_ANN_THRESHOLD) {
-            self.threshold = t;
-        }
-        if let Some(m) = env_usize(ENV_ANN_TOP_M) {
-            self.top_m = m;
-        }
-        if let Some(s) = env_usize(ENV_ANN_SAMPLE_CAP) {
-            self.sample_cap = s;
-        }
-        self
-    }
-
     /// `true` iff a stage of size `n` should use the HNSW path. Strict
     /// `>` keeps the pre-policy call-site semantics (`cluster size >
     /// ann_threshold`).
@@ -134,10 +111,6 @@ impl AnnPolicy {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,20 +130,6 @@ mod tests {
         assert!(!AnnPolicy::never().use_ann(usize::MAX - 1));
         assert!(AnnPolicy::always().use_ann(1));
         assert!(!AnnPolicy::always().use_ann(0));
-    }
-
-    #[test]
-    fn env_override_wins_and_garbage_is_ignored() {
-        // Serialized against other env tests by unique var names here.
-        std::env::set_var(ENV_ANN_THRESHOLD, "123");
-        std::env::set_var(ENV_ANN_TOP_M, "not-a-number");
-        std::env::remove_var(ENV_ANN_SAMPLE_CAP);
-        let p = AnnPolicy::default().env_overridden();
-        assert_eq!(p.threshold, 123);
-        assert_eq!(p.top_m, DEFAULT_ANN_TOP_M);
-        assert_eq!(p.sample_cap, DEFAULT_ANN_SAMPLE_CAP);
-        std::env::remove_var(ENV_ANN_THRESHOLD);
-        std::env::remove_var(ENV_ANN_TOP_M);
     }
 
     #[test]

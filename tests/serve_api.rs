@@ -12,7 +12,7 @@ use battleship_em::api::{
     SessionPhase, SessionSnapshot, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
 use battleship_em::core::codec::{fnv1a64, frame_checksum};
-use battleship_em::core::{EmError, Membership, RngState};
+use battleship_em::core::{EmError, RngState};
 use battleship_em::matcher::MatcherSnapshot;
 use proptest::prelude::*;
 
@@ -349,14 +349,14 @@ fn as_version_1(frame: &[u8]) -> Vec<u8> {
     body
 }
 
-/// `frame` re-framed as format version 2 wrote it: the same envelope
-/// and word checksum with version byte 2. A version-2 session frame
-/// carried its matcher behind a presence byte (0 or 1), which format 3
-/// reads as its absent/inline tags, so for a frame without a blob
-/// reference this is byte-for-byte what the version-2 codec wrote.
-fn as_version_2(frame: &[u8]) -> Vec<u8> {
+/// `frame` re-framed with version byte `version` and the word checksum
+/// formats 2 and later use. The envelope is the one every version
+/// wrote; the payloads of versions 2 and 3 also carried the scratch
+/// membership set (and version 2 a matcher presence byte where later
+/// formats have a tag), so only the version byte is checked here.
+fn as_version(frame: &[u8], version: u8) -> Vec<u8> {
     let mut body = frame[..frame.len() - 8].to_vec();
-    body[4] = 2;
+    body[4] = version;
     let sum = frame_checksum(&body);
     body.extend_from_slice(&sum.to_le_bytes());
     body
@@ -391,7 +391,7 @@ fn assert_old_frame_quarantined(good: &[u8], old: &[u8]) {
 }
 
 /// Frames written by the version-1 codec (byte-wise FNV-1a checksum)
-/// decode to the structured version error for each of the four framed
+/// decode to the structured version error for each of the three framed
 /// types, and recovery quarantines such a frame and falls back to the
 /// generation under it.
 #[test]
@@ -400,7 +400,6 @@ fn version_1_frames_are_rejected_and_quarantined() {
     let snap = SessionSnapshot::from_bytes(bytes).unwrap();
     let nested = [
         snap.rng.to_bytes(),
-        snap.membership.to_bytes(),
         snap.matcher.as_ref().unwrap().to_bytes(),
     ];
     assert_version_rejected(
@@ -410,13 +409,7 @@ fn version_1_frames_are_rejected_and_quarantined() {
         2,
     );
     assert_version_rejected(
-        Membership::from_bytes(&as_version_1(&nested[1])),
-        "Membership",
-        1,
-        2,
-    );
-    assert_version_rejected(
-        MatcherSnapshot::from_bytes(&as_version_1(&nested[2])),
+        MatcherSnapshot::from_bytes(&as_version_1(&nested[1])),
         "MatcherSnapshot",
         1,
         2,
@@ -432,18 +425,26 @@ fn version_1_frames_are_rejected_and_quarantined() {
     }
     let old = as_version_1(&old);
     assert_eq!(old.len(), bytes.len());
-    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 1, 3);
+    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 1, 4);
     assert_old_frame_quarantined(bytes, &old);
 }
 
-/// A version-2 session frame (format 3 has no version-2 read path) is
-/// rejected by its version and quarantined by recovery.
+/// Version-2 and version-3 session frames (format 4 has no read path
+/// for either) are rejected by their version and quarantined by
+/// recovery.
 #[test]
 fn version_2_session_frames_are_rejected_and_quarantined() {
     let bytes = snapshot_bytes();
-    let old = as_version_2(bytes);
-    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 2, 3);
-    assert_old_frame_quarantined(bytes, &old);
+    for version in [2, 3] {
+        let old = as_version(bytes, version);
+        assert_version_rejected(
+            SessionSnapshot::from_bytes(&old),
+            "SessionSnapshot",
+            version,
+            4,
+        );
+        assert_old_frame_quarantined(bytes, &old);
+    }
 }
 
 proptest! {

@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 use battleship_em::al::{run_active_learning, run_closed_loop, ExperimentConfig};
 use battleship_em::api::{
     MatchSession, Oracle, PairIdx, PerfectOracle, RunReport, Scenario, SessionConfig, SessionPhase,
-    StrategySpec,
+    SessionSnapshot, StrategySpec,
 };
 use battleship_em::core::{Dataset, Label, Rng};
 use battleship_em::matcher::{FeatureConfig, Featurizer};
@@ -212,6 +212,63 @@ fn partial_batch_survives_checkpoint() {
         false,
     ));
     assert_eq!(uninterrupted, interrupted);
+}
+
+/// A JSON snapshot written while checkpoints still carried the
+/// session's scratch membership set has a `membership` key. It
+/// restores (the key is ignored: the set is rebuilt before every use)
+/// and the run finishes with the uninterrupted run's report bits.
+#[test]
+fn legacy_json_snapshot_with_membership_restores() {
+    let (d, feats) = task();
+    let config = SessionConfig {
+        experiment: quick_config(),
+        strategy: StrategySpec::Battleship,
+        seed: 9,
+    };
+    let uninterrupted = strip(
+        MatchSession::new(d, feats, config.clone())
+            .unwrap()
+            .drive(&PerfectOracle::new())
+            .unwrap(),
+    );
+
+    // Stop mid-run: the first selected batch out, half of it labeled.
+    let oracle = PerfectOracle::new();
+    let mut session = MatchSession::new(d, feats, config).unwrap();
+    session.advance().unwrap();
+    let seed_labels: Vec<(PairIdx, Label)> = session
+        .next_query_batch()
+        .into_iter()
+        .map(|p| (p, oracle.label(d, p)))
+        .collect();
+    session.submit_labels(&seed_labels).unwrap();
+    assert_eq!(session.advance().unwrap(), SessionPhase::AwaitingLabels);
+    let batch = session.next_query_batch();
+    let half: Vec<(PairIdx, Label)> = batch[..batch.len() / 2]
+        .iter()
+        .map(|&p| (p, oracle.label(d, p)))
+        .collect();
+    session.submit_labels(&half).unwrap();
+    let snapshot = session.snapshot().unwrap();
+
+    // The legacy layout: one stamp per pair plus the generation, with
+    // the last selection stamped live.
+    let mut stamp = vec![0u32; d.len()];
+    for &p in &batch {
+        stamp[p] = 3;
+    }
+    let json = serde_json::to_string(&snapshot).unwrap();
+    assert!(!json.contains("\"membership\""));
+    let legacy = format!(
+        "{{\"membership\":{{\"stamp\":{stamp:?},\"generation\":3}},{}",
+        &json[1..]
+    );
+    let back: SessionSnapshot = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(back, snapshot);
+    let mut restored = MatchSession::restore(d, feats, &back).unwrap();
+    let report = strip(restored.drive(&oracle).unwrap());
+    assert_eq!(report, uninterrupted, "legacy snapshot diverged");
 }
 
 /// Session bookkeeping and misuse errors.
