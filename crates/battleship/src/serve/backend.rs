@@ -17,7 +17,7 @@
 //!   [`SnapshotBackend::quarantine`] instead of being deleted — they
 //!   are the post-mortem evidence. Each key's live generations are kept
 //!   in memory after its first touch, so a `put` never lists a
-//!   directory.
+//!   directory and [`SnapshotBackend::contains`] reads no file.
 //!
 //! Both backends number a key's frames with generations that are never
 //! reused — not after a quarantine, a removal or (for [`DirBackend`]) a
@@ -51,6 +51,9 @@ pub trait SnapshotBackend: Send + Sync {
     /// Read the newest frame under `key`, or `None` if the key has never
     /// been written (I/O failures are `Err`, not `None`).
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>>;
+    /// Whether `key` has a frame `get` would return, answered without
+    /// reading one.
+    fn contains(&self, key: &str) -> Result<bool>;
     /// Remove every frame of `key` (idempotent; removing an absent key
     /// is `Ok`).
     fn remove(&self, key: &str) -> Result<()>;
@@ -77,6 +80,9 @@ impl<B: SnapshotBackend + ?Sized> SnapshotBackend for std::sync::Arc<B> {
     }
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
         (**self).get(key)
+    }
+    fn contains(&self, key: &str) -> Result<bool> {
+        (**self).contains(key)
     }
     fn remove(&self, key: &str) -> Result<()> {
         (**self).remove(key)
@@ -163,6 +169,13 @@ impl SnapshotBackend for MemoryBackend {
             .get(key)
             .and_then(|key| key.frames.back())
             .map(|(_, bytes)| bytes.clone()))
+    }
+
+    fn contains(&self, key: &str) -> Result<bool> {
+        Ok(self
+            .map()
+            .get(key)
+            .is_some_and(|key| !key.frames.is_empty()))
     }
 
     fn remove(&self, key: &str) -> Result<()> {
@@ -458,6 +471,10 @@ impl SnapshotBackend for DirBackend {
         }
     }
 
+    fn contains(&self, key: &str) -> Result<bool> {
+        self.with_key(key, |g| !g.live.is_empty())
+    }
+
     fn remove(&self, key: &str) -> Result<()> {
         let dir = self.key_dir(key)?;
         // Keep `next`: a recreated key continues past the removed frames.
@@ -555,8 +572,10 @@ mod tests {
     fn exercise(backend: &dyn SnapshotBackend) {
         assert_eq!(backend.keys().unwrap(), Vec::<String>::new());
         assert_eq!(backend.get("a").unwrap(), None);
+        assert!(!backend.contains("a").unwrap());
         assert_eq!(backend.history("a").unwrap(), vec![]);
         backend.put("a", b"one").unwrap();
+        assert!(backend.contains("a").unwrap());
         backend.put("b", b"two").unwrap();
         backend.put("a", b"three").unwrap(); // supersede
         assert_eq!(backend.get("a").unwrap().unwrap(), b"three");
@@ -570,6 +589,14 @@ mod tests {
         backend.remove("a").unwrap();
         backend.remove("a").unwrap(); // idempotent
         assert_eq!(backend.get("a").unwrap(), None);
+        assert!(!backend.contains("a").unwrap());
+        assert_eq!(backend.keys().unwrap(), vec!["b"]);
+        // A key whose every frame is quarantined holds nothing.
+        backend.put("c", b"bad").unwrap();
+        let only = backend.history("c").unwrap()[0].0;
+        backend.quarantine("c", only).unwrap();
+        assert!(!backend.contains("c").unwrap());
+        assert_eq!(backend.get("c").unwrap(), None);
         assert_eq!(backend.keys().unwrap(), vec!["b"]);
     }
 

@@ -9,7 +9,7 @@
 //!   one self-contained snapshot;
 //! * [`SnapshotCodec::Binary`] — the compact frame of
 //!   [`SessionSnapshot::to_bytes`]: float bit patterns instead of
-//!   decimal renderings, a version byte (format 3) and a word-wide
+//!   decimal renderings, a version byte (format 5) and a word-wide
 //!   64-bit checksum (`em_core::codec::frame_checksum`), and the store's
 //!   default. A binary store writes the matcher once per training as
 //!   its own blob and each checkpoint as a small frame naming it (see

@@ -312,6 +312,11 @@ impl<B: SnapshotBackend> SnapshotBackend for FaultyBackend<B> {
         self.inner.get(key)
     }
 
+    fn contains(&self, key: &str) -> Result<bool> {
+        self.pre_op("contains")?;
+        self.inner.contains(key)
+    }
+
     fn remove(&self, key: &str) -> Result<()> {
         self.pre_op("remove")?;
         self.inner.remove(key)

@@ -318,8 +318,8 @@ impl SessionStore {
         })
     }
 
-    fn backend_get(&self, key: &str) -> Result<Option<Vec<u8>>> {
-        self.retry.run(|| self.backend.get(key))
+    fn backend_contains(&self, key: &str) -> Result<bool> {
+        self.retry.run(|| self.backend.contains(key))
     }
 
     fn backend_remove(&self, key: &str) -> Result<()> {
@@ -387,7 +387,7 @@ impl SessionStore {
             )));
         }
         let scenario = self.scenario_named(scenario_name)?;
-        if self.backend_get(id)?.is_some() {
+        if self.backend_contains(id)? {
             return Err(EmError::InvalidConfig(format!(
                 "session `{id}` already has a persisted snapshot; recover or delete it first"
             )));
@@ -544,7 +544,7 @@ impl SessionStore {
             // resurrect the deleted session. `delete` removes from the
             // backend while holding the map lock, so this re-check is
             // race-free.
-            if self.retry.run(|| self.backend.get(id))?.is_none() {
+            if !self.backend_contains(id)? {
                 return Ok(Reload::Missing);
             }
             let cell = Arc::new(Mutex::new(cell));
@@ -1461,6 +1461,104 @@ mod tests {
             store.backend.keys().unwrap().is_empty(),
             "delete left a blob"
         );
+    }
+
+    #[test]
+    fn a_json_store_checkpoints_reloads_and_recovers() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let backend = Arc::new(MemoryBackend::new());
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Json);
+        store.register_scenario(scenario.clone());
+        let config = quick_config(StrategySpec::Battleship, 26);
+        store.create("s", scenario.name(), config.clone()).unwrap();
+        store.advance("s").unwrap();
+        answer(&store, "s", usize::MAX);
+        store.advance("s").unwrap(); // trained: the first selection is out
+        answer(&store, "s", 1);
+        store.checkpoint("s").unwrap();
+        let frame = backend.get("s").unwrap().unwrap();
+        let json = std::str::from_utf8(&frame).unwrap();
+        assert!(json.contains("\"train\""), "{json}");
+        assert!(!json.contains("\"pool\""), "the pool was persisted");
+        let before = store.get("s").unwrap();
+        store.evict("s").unwrap();
+        assert_eq!(store.get("s").unwrap(), before);
+
+        // A restarted process recovers the session from the same backend.
+        let fresh = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Json);
+        fresh.register_scenario(scenario.clone());
+        let report = fresh.recover().unwrap();
+        assert_eq!(report.recovered, vec!["s"]);
+        assert!(report.quarantined.is_empty() && report.lost.is_empty());
+        assert_eq!(fresh.get("s").unwrap(), before);
+
+        let uninterrupted = reference(config);
+        drive(&store, "s");
+        assert_eq!(strip(store.report("s").unwrap()), uninterrupted);
+        drive(&fresh, "s");
+        assert_eq!(strip(fresh.report("s").unwrap()), uninterrupted);
+    }
+
+    /// A memory backend that counts the frames `get` reads.
+    #[derive(Default)]
+    struct CountingBackend {
+        inner: MemoryBackend,
+        gets: AtomicU64,
+    }
+
+    impl CountingBackend {
+        fn gets(&self) -> u64 {
+            self.gets.load(Ordering::Relaxed)
+        }
+    }
+
+    impl SnapshotBackend for CountingBackend {
+        fn put(&self, key: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.put(key, bytes)
+        }
+        fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+            self.gets.fetch_add(1, Ordering::Relaxed);
+            self.inner.get(key)
+        }
+        fn contains(&self, key: &str) -> Result<bool> {
+            self.inner.contains(key)
+        }
+        fn remove(&self, key: &str) -> Result<()> {
+            self.inner.remove(key)
+        }
+        fn keys(&self) -> Result<Vec<String>> {
+            self.inner.keys()
+        }
+        fn history(&self, key: &str) -> Result<Vec<(u64, Vec<u8>)>> {
+            self.inner.history(key)
+        }
+        fn quarantine(&self, key: &str, generation: u64) -> Result<()> {
+            self.inner.quarantine(key, generation)
+        }
+    }
+
+    #[test]
+    fn create_and_reload_test_existence_without_reading_a_frame() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let backend = Arc::new(CountingBackend::default());
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+        store.register_scenario(scenario.clone());
+        let config = quick_config(StrategySpec::Random, 27);
+        store.create("s", scenario.name(), config.clone()).unwrap();
+        assert_eq!(backend.gets(), 0, "create read a frame");
+        store.advance("s").unwrap();
+        answer(&store, "s", usize::MAX);
+        store.advance("s").unwrap(); // trained
+        store.evict("s").unwrap(); // the blob put reads the blob back once
+        assert_eq!(backend.gets(), 1);
+
+        // The reload reads the history, not the newest frame.
+        assert_eq!(store.get("s").unwrap().phase, SessionPhase::AwaitingLabels);
+        assert_eq!(backend.gets(), 1, "reload read a frame");
+        // Creating over a persisted id is still refused.
+        store.evict("s").unwrap();
+        assert!(store.create("s", scenario.name(), config).is_err());
+        assert_eq!(backend.gets(), 1, "create read a frame");
     }
 
     #[test]

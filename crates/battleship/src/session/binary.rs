@@ -6,14 +6,17 @@
 //! This module encodes the complete snapshot into one checksummed
 //! little-endian frame (see `em_core::codec` for the wire primitives,
 //! the word-wide frame checksum and the corruption-detection contract):
-//! a `BSSS` magic, a format version byte (4; a frame of any other
+//! a `BSSS` magic, a format version byte (5; a frame of any other
 //! version is rejected), every scalar field in declaration order, and
 //! the nested checkpointable types ([`RngState`](em_core::RngState),
 //! [`MatcherSnapshot`](em_matcher::MatcherSnapshot)) embedded as their
 //! own framed blocks — each carries its own magic/version/checksum, so
 //! a format bump in any layer is detected exactly where it happens.
-//! The session's scratch membership set is not in the frame: every step
-//! clears it before use, so a restored session rebuilds it empty.
+//! The frame holds only what the run decided: the unlabeled pool and
+//! the scratch membership set are not in it (a restore rederives the
+//! pool from the train split and rebuilds the set empty), nor is the
+//! pending batch's kind. Format 4 still carried the pool and that kind,
+//! format 3 the membership set; neither has a read path.
 //!
 //! The matcher field is a tag: absent (no training yet), inline (the
 //! matcher's own frame follows), or a blob reference — the checksum and
@@ -45,7 +48,7 @@ use super::{PendingSnapshot, SessionPhase, SessionSnapshot};
 /// Binary frame magic for [`SessionSnapshot`].
 const SESSION_MAGIC: [u8; 4] = *b"BSSS";
 /// Binary format version for [`SessionSnapshot`] frames.
-const SESSION_BINARY_VERSION: u8 = 4;
+const SESSION_BINARY_VERSION: u8 = 5;
 
 /// Matcher field tag: no matcher trained yet.
 const MATCHER_ABSENT: u8 = 0;
@@ -260,7 +263,6 @@ fn get_iteration(r: &mut ByteReader<'_>) -> Result<IterationRecord> {
 
 fn put_pending(w: &mut ByteWriter, p: &PendingSnapshot) {
     w.put_varints(&p.pairs);
-    w.put_bool(p.is_seed);
     put_pair_labels(w, &p.weak);
     w.put_f64(p.select_secs);
     put_pair_labels(w, &p.received);
@@ -269,7 +271,6 @@ fn put_pending(w: &mut ByteWriter, p: &PendingSnapshot) {
 fn get_pending(r: &mut ByteReader<'_>) -> Result<PendingSnapshot> {
     Ok(PendingSnapshot {
         pairs: r.get_varints()?,
-        is_seed: r.get_bool()?,
         weak: get_pair_labels(r)?,
         select_secs: r.get_f64()?,
         received: get_pair_labels(r)?,
@@ -348,9 +349,7 @@ impl SessionSnapshot {
             None => self.matcher.as_ref().map(|m| m.to_bytes()),
         };
         let mut w = ByteWriter::with_capacity(
-            matcher_bytes.as_ref().map_or(0, |b| b.len())
-                + 4 * (self.pool.len() + self.train.len())
-                + 256,
+            matcher_bytes.as_ref().map_or(0, |b| b.len()) + 4 * self.train.len() + 256,
         );
         w.put_u32(self.version);
         w.put_str(&self.dataset);
@@ -359,7 +358,6 @@ impl SessionSnapshot {
         put_experiment(&mut w, &self.config);
         w.put_u8(phase_tag(self.phase));
         w.put_bytes(&self.rng.to_bytes());
-        w.put_varints(&self.pool);
         w.put_varints(&self.train);
         put_labels(&mut w, &self.train_labels);
         match (blob, &matcher_bytes) {
@@ -429,7 +427,6 @@ impl SessionSnapshot {
         let config = get_experiment(&mut r)?;
         let phase = phase_from_tag(r.get_u8()?)?;
         let rng = RngState::from_bytes(r.get_bytes()?)?;
-        let pool = r.get_varints()?;
         let train = r.get_varints()?;
         let train_labels = get_labels(&mut r)?;
         let (matcher, blob) = match r.get_u8()? {
@@ -470,7 +467,6 @@ impl SessionSnapshot {
             config,
             phase,
             rng,
-            pool,
             train,
             train_labels,
             matcher,
@@ -502,7 +498,6 @@ mod tests {
             config: ExperimentConfig::default(),
             phase: SessionPhase::AwaitingLabels,
             rng: em_core::Rng::seed_from_u64(9).state(),
-            pool: vec![0, 2, 5, 9, 11],
             train: vec![1, 4],
             train_labels: vec![Label::Match, Label::NonMatch],
             matcher: Some(MatcherSnapshot {
@@ -555,7 +550,6 @@ mod tests {
             }],
             pending: Some(PendingSnapshot {
                 pairs: vec![5, 9, 5],
-                is_seed: false,
                 weak: vec![(2, Label::NonMatch)],
                 select_secs: 0.5,
                 received: vec![(0, Label::Match), (2, Label::NonMatch)],

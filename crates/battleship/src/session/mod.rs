@@ -45,7 +45,6 @@ mod snapshot;
 pub(crate) use binary::MatcherBlobRef;
 pub use snapshot::{PendingSnapshot, SessionSnapshot, SNAPSHOT_VERSION};
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,62 +106,38 @@ pub enum SessionPhase {
     Done,
 }
 
-/// What kind of batch is awaiting labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub(crate) enum BatchKind {
-    /// The balanced initialisation seed (`D_train_0`).
-    Seed,
-    /// A strategy-selected iteration batch.
-    Selection,
-}
-
 /// The in-flight query batch and its partially-received labels.
 pub(crate) struct PendingBatch {
     /// Pairs sent to the labeler, in emission order.
     pub(crate) pairs: Vec<PairIdx>,
-    pub(crate) kind: BatchKind,
     /// Weak pseudo-labels picked alongside this batch (§3.7), applied
     /// to the training round that consumes the batch.
     pub(crate) weak: Vec<(PairIdx, Label)>,
     /// Wall-clock of the predict+select step that produced the batch.
     pub(crate) select_secs: f64,
-    /// Received labels, aligned with `pairs`.
+    /// Received labels, aligned with `pairs`. A strategy may select the
+    /// same pair more than once (the closed loop labeled it once per
+    /// occurrence), so each occurrence has its own slot.
     pub(crate) received: Vec<Option<Label>>,
-    pub(crate) n_received: usize,
-    /// Pair → positions in `pairs` (rebuilt, never serialized). A
-    /// strategy may legally select the same pair more than once (the
-    /// closed loop labeled it once per occurrence), so each pair maps
-    /// to *all* its slots.
-    positions: HashMap<PairIdx, Vec<usize>>,
 }
 
 impl PendingBatch {
-    fn new(pairs: Vec<PairIdx>, kind: BatchKind, weak: Vec<(PairIdx, Label)>, secs: f64) -> Self {
-        let mut positions: HashMap<PairIdx, Vec<usize>> = HashMap::with_capacity(pairs.len());
-        for (i, &p) in pairs.iter().enumerate() {
-            positions.entry(p).or_default().push(i);
-        }
+    fn new(pairs: Vec<PairIdx>, weak: Vec<(PairIdx, Label)>, secs: f64) -> Self {
         let received = vec![None; pairs.len()];
         PendingBatch {
             pairs,
-            kind,
             weak,
             select_secs: secs,
             received,
-            n_received: 0,
-            positions,
         }
     }
 
-    fn is_complete(&self) -> bool {
-        self.n_received == self.pairs.len()
+    fn n_received(&self) -> usize {
+        self.received.iter().flatten().count()
     }
 
-    /// The received labels in batch order; only valid when complete.
-    fn labels(&self) -> Vec<Label> {
-        debug_assert!(self.is_complete());
-        // em-lint: allow(no-panic) -- guarded: every caller checks is_complete() first
-        self.received.iter().map(|l| l.expect("complete")).collect()
+    fn is_complete(&self) -> bool {
+        self.received.iter().all(Option::is_some)
     }
 }
 
@@ -253,18 +228,15 @@ pub struct MatchSession<'a, S: ?Sized = dyn SelectionStrategy + 'a> {
     strategy_spec: Option<StrategySpec>,
     seed: u64,
     rng: Rng,
-    /// Unlabeled pool, shrinking as batches are emitted.
+    /// Unlabeled pool, shrinking as batches are emitted: the train split
+    /// minus `train` and the pending batch, in split order, so a restore
+    /// rederives it.
     pool: Vec<PairIdx>,
     /// Scratch set for the seed draw and selection checks: every use
     /// starts with `begin()`, so it is never snapshotted.
     membership: Membership,
     train: Vec<PairIdx>,
     train_labels: Vec<Label>,
-    // Dataset-level constants (derived, not checkpointed).
-    valid_idx: Vec<PairIdx>,
-    valid_labels: Vec<Label>,
-    test_idx: Vec<PairIdx>,
-    test_labels: Vec<Label>,
     matcher: Option<TrainedMatcher>,
     iterations: Vec<IterationRecord>,
     phase: SessionPhase,
@@ -354,10 +326,6 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
                 config.al.seed_size
             )));
         }
-        let valid_idx = dataset.split().valid.clone();
-        let valid_labels = dataset.ground_truth_of(&valid_idx);
-        let test_idx = dataset.split().test.clone();
-        let test_labels = dataset.ground_truth_of(&test_idx);
         let membership = Membership::new(dataset.len());
         Ok(MatchSession {
             data,
@@ -370,10 +338,6 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             membership,
             train: Vec::new(),
             train_labels: Vec::new(),
-            valid_idx,
-            valid_labels,
-            test_idx,
-            test_labels,
             matcher: None,
             iterations: Vec::new(),
             phase: SessionPhase::SeedDraw,
@@ -411,7 +375,9 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         // (it lingers in `pending` only to feed the training step), so
         // count outstanding labels only while they are outstanding.
         let outstanding = match self.phase {
-            SessionPhase::AwaitingLabels => self.pending.as_ref().map_or(0, |p| p.n_received),
+            SessionPhase::AwaitingLabels => {
+                self.pending.as_ref().map_or(0, PendingBatch::n_received)
+            }
             _ => 0,
         };
         self.train.len() + outstanding
@@ -514,8 +480,9 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
     ///
     /// Labels may arrive incrementally and in any order; each pair must
     /// belong to the outstanding batch and may only be answered once.
-    /// When the last label arrives the session moves to
-    /// [`SessionPhase::Training`].
+    /// A submission is checked whole before any of it applies: on `Err`
+    /// the batch is as it was. When the last label arrives the session
+    /// moves to [`SessionPhase::Training`].
     pub fn submit_labels(&mut self, labels: &[(PairIdx, Label)]) -> Result<SessionPhase> {
         if self.phase != SessionPhase::AwaitingLabels {
             return Err(EmError::InvalidConfig(format!(
@@ -528,24 +495,25 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
                 "phase is AwaitingLabels but no batch is pending".into(),
             ));
         };
+        // Each label fills the first unanswered slot of its pair, in a
+        // copy that replaces the batch's only once every label found one.
+        let mut received = batch.received.clone();
         for &(pair, label) in labels {
-            let Some(slots) = batch.positions.get(&pair) else {
-                return Err(EmError::InvalidConfig(format!(
-                    "pair {pair} is not part of the outstanding query batch"
-                )));
+            let open = batch
+                .pairs
+                .iter()
+                .zip(&received)
+                .position(|(&p, r)| p == pair && r.is_none());
+            let Some(slot) = open else {
+                return Err(EmError::InvalidConfig(if batch.pairs.contains(&pair) {
+                    format!("pair {pair} was already labeled in this batch")
+                } else {
+                    format!("pair {pair} is not part of the outstanding query batch")
+                }));
             };
-            // Fill the first unanswered slot for this pair (a pair may
-            // occur more than once in a batch; each occurrence needs a
-            // label, as each consumed one oracle query in the closed
-            // loop).
-            let Some(&pos) = slots.iter().find(|&&s| batch.received[s].is_none()) else {
-                return Err(EmError::InvalidConfig(format!(
-                    "pair {pair} was already labeled in this batch"
-                )));
-            };
-            batch.received[pos] = Some(label);
-            batch.n_received += 1;
+            received[slot] = Some(label);
         }
+        batch.received = received;
         if batch.is_complete() {
             self.complete_batch()?;
         }
@@ -561,9 +529,8 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             ));
         };
         debug_assert!(batch.is_complete());
-        let labels = batch.labels();
         self.train.extend_from_slice(&batch.pairs);
-        self.train_labels.extend_from_slice(&labels);
+        self.train_labels.extend(batch.received.iter().flatten());
         self.phase = SessionPhase::Training;
         Ok(())
     }
@@ -644,7 +611,7 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         }
         let membership = &self.membership;
         self.pool.retain(|&i| !membership.contains(i));
-        self.pending = Some(PendingBatch::new(chosen, BatchKind::Seed, Vec::new(), 0.0));
+        self.pending = Some(PendingBatch::new(chosen, Vec::new(), 0.0));
         self.phase = SessionPhase::AwaitingLabels;
         Ok(())
     }
@@ -675,11 +642,12 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         let train_secs = t_train.elapsed().as_secs_f64();
         self.matcher = Some(matcher);
 
-        let batch_labels = batch.labels();
-        let new_positives = match batch.kind {
-            BatchKind::Seed => self.train_labels.iter().filter(|l| l.is_match()).count(),
-            BatchKind::Selection => batch_labels.iter().filter(|l| l.is_match()).count(),
-        };
+        let new_positives = batch
+            .received
+            .iter()
+            .flatten()
+            .filter(|l| l.is_match())
+            .count();
         self.iterations.push(IterationRecord {
             iteration: self.iterations.len(),
             labels_used: self.train.len(),
@@ -762,12 +730,7 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         let membership = &self.membership;
         self.pool.retain(|&i| !membership.contains(i));
 
-        let batch = PendingBatch::new(
-            selection.to_label,
-            BatchKind::Selection,
-            selection.weak,
-            select_secs,
-        );
+        let batch = PendingBatch::new(selection.to_label, selection.weak, select_secs);
         let empty = batch.pairs.is_empty();
         self.pending = Some(batch);
         if empty {
@@ -792,18 +755,20 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             idx.push(p);
             labels.push(l);
         }
-        let features = self.data.features();
+        let (dataset, features) = (self.data.dataset(), self.data.features());
+        let split = dataset.split();
         let matcher = train_matcher(
             features,
             &idx,
             &labels,
-            &self.valid_idx,
-            &self.valid_labels,
+            &split.valid,
+            &dataset.ground_truth_of(&split.valid),
             matcher_config,
         )?;
-        let out = matcher.predict(features, &self.test_idx)?;
+        let out = matcher.predict(features, &split.test)?;
         let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
-        let metrics = BinaryConfusion::from_labels(&predicted, &self.test_labels)?.metrics();
+        let truth = dataset.ground_truth_of(&split.test);
+        let metrics = BinaryConfusion::from_labels(&predicted, &truth)?.metrics();
         Ok((matcher, metrics))
     }
 }

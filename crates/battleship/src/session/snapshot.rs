@@ -1,18 +1,19 @@
 //! Serde checkpoints for [`MatchSession`]: persist a session
 //! mid-iteration, resume it bit-identically.
 //!
-//! A snapshot captures every piece of state the remaining protocol
-//! steps depend on — pool, labeled set, rng stream position, the
-//! current matcher's parameters, the in-flight query batch with its
-//! partially-received labels — but *not* the dataset or its features:
-//! those are immutable artifacts the caller re-supplies on restore
-//! (they are orders of magnitude larger than the loop state and
-//! already shared via [`crate::engine::ArtifactCache`]). Nor does it
-//! capture scratch state the session rebuilds: the membership set every
-//! step clears before use, the selection scratch, the pending batch's
-//! position index and the dataset's valid/test labels.
-//! A JSON snapshot that still has a `membership` key restores:
-//! deserialization ignores unknown keys.
+//! A snapshot captures what the run decided: the labeled set and its
+//! answers, the rng stream position, the current matcher's parameters
+//! and the in-flight query batch with its partially-received labels.
+//! It does *not* capture the dataset or its features: those are
+//! immutable artifacts the caller re-supplies on restore (they are
+//! orders of magnitude larger than the loop state and already shared
+//! via [`crate::engine::ArtifactCache`]). Nor does it capture what the
+//! session derives from those: the unlabeled pool (the train split
+//! minus the labeled and in-flight pairs, in split order), the
+//! membership set every step clears before use and the selection
+//! scratch. A JSON snapshot that still has the `membership`, `pool` or
+//! `is_seed` keys of earlier layouts restores: deserialization ignores
+//! unknown keys, and each of them held only state the session derives.
 //!
 //! The contract, pinned by `tests/session_api.rs`: snapshot at *any*
 //! phase, serialize to JSON, deserialize, [`MatchSession::restore`],
@@ -33,7 +34,7 @@ use crate::engine::DatasetArtifacts;
 use crate::report::IterationRecord;
 use crate::strategies::{SelectionStrategy, StrategySpec};
 
-use super::{BatchKind, Data, MatchSession, PendingBatch, SessionPhase};
+use super::{Data, MatchSession, PendingBatch, SessionPhase};
 
 /// Snapshot format version, bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -43,8 +44,6 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 pub struct PendingSnapshot {
     /// Pairs sent to the labeler, in emission order.
     pub pairs: Vec<PairIdx>,
-    /// Whether this is the seed batch or a strategy selection.
-    pub is_seed: bool,
     /// Weak pseudo-labels riding with the batch (§3.7).
     pub weak: Vec<(PairIdx, Label)>,
     /// Wall-clock of the predict+select step that produced the batch.
@@ -76,8 +75,6 @@ pub struct SessionSnapshot {
     pub phase: SessionPhase,
     /// The rng mid-stream.
     pub rng: RngState,
-    /// Unlabeled pool, in its current order.
-    pub pool: Vec<PairIdx>,
     /// Labeled pairs so far.
     pub train: Vec<PairIdx>,
     /// Labels aligned with `train`.
@@ -117,7 +114,6 @@ impl<S: SelectionStrategy + ?Sized> MatchSession<'_, S> {
         })?;
         let pending = self.pending.as_ref().map(|b| PendingSnapshot {
             pairs: b.pairs.clone(),
-            is_seed: b.kind == BatchKind::Seed,
             weak: b.weak.clone(),
             select_secs: b.select_secs,
             received: b
@@ -135,7 +131,6 @@ impl<S: SelectionStrategy + ?Sized> MatchSession<'_, S> {
             config: self.config.clone(),
             phase: self.phase,
             rng: self.rng.state(),
-            pool: self.pool.clone(),
             train: self.train.clone(),
             train_labels: self.train_labels.clone(),
             matcher: None,
@@ -150,9 +145,9 @@ impl<'a> MatchSession<'a> {
     /// immutable dataset artifacts.
     ///
     /// The restored session continues the run bit-identically: same rng
-    /// stream, same pool order, same model parameters, same
-    /// half-labeled batch. Errors if the snapshot is malformed or does
-    /// not belong to `dataset`.
+    /// stream, same pool (rederived, in the same order), same model
+    /// parameters, same half-labeled batch. Errors if the snapshot is
+    /// malformed or does not belong to `dataset`.
     pub fn restore(
         dataset: &'a Dataset,
         features: &'a Embeddings,
@@ -206,10 +201,9 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             .map(|(i, _)| i);
         for (what, mut idx) in [
             (
-                "pool",
-                Box::new(snapshot.pool.iter()) as Box<dyn Iterator<Item = &usize>>,
+                "train",
+                Box::new(snapshot.train.iter()) as Box<dyn Iterator<Item = &usize>>,
             ),
-            ("train", Box::new(snapshot.train.iter())),
             ("pending batch", Box::new(pending_pairs)),
             ("pending weak set", Box::new(pending_weak)),
         ] {
@@ -222,9 +216,9 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             }
         }
 
-        // Open a fresh session (re-deriving the dataset-level constants
-        // and validating config/features), then overwrite the loop
-        // state with the snapshot's.
+        // Open a fresh session (validating config/features, with the
+        // whole train split as its pool), then overwrite the loop state
+        // with the snapshot's.
         let mut session = Self::open(
             data,
             strategy,
@@ -233,7 +227,6 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             snapshot.seed,
         )?;
         session.rng = Rng::from_state(&snapshot.rng)?;
-        session.pool = snapshot.pool.clone();
         session.train = snapshot.train.clone();
         session.train_labels = snapshot.train_labels.clone();
         session.matcher = snapshot
@@ -244,6 +237,19 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         session.iterations = snapshot.iterations.clone();
         session.phase = snapshot.phase;
         session.pending = snapshot.pending.as_ref().map(restore_pending).transpose()?;
+
+        // The pool the run left: the seed draw and every selection take
+        // exactly the batch they emit out of the pool with an
+        // order-preserving retain, and a batch stays pending until it
+        // trains, so removing the labeled and pending pairs from the
+        // train split rebuilds it, order included.
+        session.membership.begin();
+        let pending = session.pending.iter().flat_map(|b| &b.pairs);
+        for &p in session.train.iter().chain(pending) {
+            session.membership.insert(p);
+        }
+        let membership = &session.membership;
+        session.pool.retain(|&i| !membership.contains(i));
 
         // Phase coherence: the states the machine can actually rest in.
         match session.phase {
@@ -267,19 +273,10 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
     }
 }
 
-/// Rebuild the in-flight batch (positions map and received vector are
-/// reconstructed from the sparse `(position, label)` list).
+/// Rebuild the in-flight batch (its received vector is reconstructed
+/// from the sparse `(position, label)` list).
 fn restore_pending(snap: &PendingSnapshot) -> Result<PendingBatch> {
-    let mut batch = PendingBatch::new(
-        snap.pairs.clone(),
-        if snap.is_seed {
-            BatchKind::Seed
-        } else {
-            BatchKind::Selection
-        },
-        snap.weak.clone(),
-        snap.select_secs,
-    );
+    let mut batch = PendingBatch::new(snap.pairs.clone(), snap.weak.clone(), snap.select_secs);
     for &(pos, label) in &snap.received {
         let slot = batch
             .received
@@ -295,7 +292,6 @@ fn restore_pending(snap: &PendingSnapshot) -> Result<PendingBatch> {
             )));
         }
         *slot = Some(label);
-        batch.n_received += 1;
     }
     Ok(batch)
 }

@@ -30,10 +30,10 @@ impl BattleshipStrategy {
 struct Side {
     /// Spatial index over the side's nodes.
     index: SpatialIndex,
-    /// Side node → heterogeneous node id (= pool position).
-    to_hetero: Vec<usize>,
-    /// Side node → pool position.
-    pool_positions: Vec<usize>,
+    /// Side node → pool position. Pool positions are the first rows of
+    /// the heterogeneous graph, so this is also the side node's
+    /// heterogeneous node id.
+    positions: Vec<usize>,
 }
 
 impl SelectionStrategy for BattleshipStrategy {
@@ -117,8 +117,7 @@ impl SelectionStrategy for BattleshipStrategy {
             )?;
             Ok(Some(Side {
                 index,
-                to_hetero: positions.to_vec(),
-                pool_positions: positions.to_vec(),
+                positions: positions.to_vec(),
             }))
         };
         let plus = build_side(&pos_nodes, NodeKind::PredictedMatch, rng.next_u64())?;
@@ -136,7 +135,7 @@ impl SelectionStrategy for BattleshipStrategy {
             let picked = select_side_with(
                 &side.index,
                 &hetero.graph,
-                &side.to_hetero,
+                &side.positions,
                 side_budget,
                 params.alpha,
                 params.beta,
@@ -144,11 +143,7 @@ impl SelectionStrategy for BattleshipStrategy {
                 params.centrality,
                 rng,
             )?;
-            to_label.extend(
-                picked
-                    .iter()
-                    .map(|&local| ctx.pool[side.pool_positions[local]]),
-            );
+            to_label.extend(picked.iter().map(|&local| ctx.pool[side.positions[local]]));
         }
 
         // --- Weak supervision (§3.7). -----------------------------------------
@@ -163,16 +158,12 @@ impl SelectionStrategy for BattleshipStrategy {
             );
             for (side, side_budget) in [(&plus, w_pos), (&minus, w_neg)] {
                 let Some(side) = side else { continue };
-                let preds: Vec<_> = side
-                    .pool_positions
-                    .iter()
-                    .map(|&p| ctx.pool_preds[p])
-                    .collect();
-                let pairs: Vec<_> = side.pool_positions.iter().map(|&p| ctx.pool[p]).collect();
+                let preds: Vec<_> = side.positions.iter().map(|&p| ctx.pool_preds[p]).collect();
+                let pairs: Vec<_> = side.positions.iter().map(|&p| ctx.pool[p]).collect();
                 weak.extend(weak_side(
                     &side.index,
                     &hetero.graph,
-                    &side.to_hetero,
+                    &side.positions,
                     &preds,
                     &pairs,
                     side_budget,

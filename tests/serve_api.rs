@@ -11,7 +11,7 @@ use battleship_em::api::{
     DirBackend, Label, MatchSession, MemoryBackend, PairIdx, RunReport, Scenario, SessionConfig,
     SessionPhase, SessionSnapshot, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
-use battleship_em::core::codec::{fnv1a64, frame_checksum};
+use battleship_em::core::codec::{fnv1a64, frame_checksum, write_frame, ByteWriter};
 use battleship_em::core::{EmError, RngState};
 use battleship_em::matcher::MatcherSnapshot;
 use proptest::prelude::*;
@@ -425,23 +425,67 @@ fn version_1_frames_are_rejected_and_quarantined() {
     }
     let old = as_version_1(&old);
     assert_eq!(old.len(), bytes.len());
-    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 1, 4);
+    assert_version_rejected(SessionSnapshot::from_bytes(&old), "SessionSnapshot", 1, 5);
     assert_old_frame_quarantined(bytes, &old);
 }
 
-/// Version-2 and version-3 session frames (format 4 has no read path
-/// for either) are rejected by their version and quarantined by
+/// `frame` (format 5) rebuilt as format 4 wrote it: the unlabeled
+/// pool's varints after the rng block, and the pending batch's seed
+/// flag after its pairs.
+fn as_version_4(frame: &[u8]) -> Vec<u8> {
+    let snap = SessionSnapshot::from_bytes(frame).unwrap();
+    let pending = snap.pending.as_ref().unwrap();
+    let art = scenario().materialize().unwrap();
+    let pool: Vec<PairIdx> = art
+        .dataset
+        .split()
+        .train
+        .iter()
+        .copied()
+        .filter(|p| !snap.train.contains(p) && !pending.pairs.contains(p))
+        .collect();
+    let varints = |xs: &[usize]| {
+        let mut w = ByteWriter::new();
+        w.put_varints(xs);
+        w.into_bytes()
+    };
+    // The end of the last occurrence of `needle` in `payload`.
+    let end_of = |payload: &[u8], needle: &[u8]| {
+        let at = payload.windows(needle.len()).rposition(|w| w == needle);
+        at.unwrap() + needle.len()
+    };
+    let payload = &frame[13..frame.len() - 8];
+    let after_rng = end_of(payload, &snap.rng.to_bytes());
+    // The pending batch: its presence byte, then its pairs.
+    let after_pairs = end_of(payload, &[&[1], &varints(&pending.pairs)[..]].concat());
+    assert!(after_rng < after_pairs);
+    let old = [
+        &payload[..after_rng],
+        &varints(&pool),
+        &payload[after_rng..after_pairs],
+        &[0], // a selected batch, not the seed
+        &payload[after_pairs..],
+    ]
+    .concat();
+    write_frame(*b"BSSS", 4, &old)
+}
+
+/// Version-2, -3 and -4 session frames (format 5 has no read path for
+/// any of them) are rejected by their version and quarantined by
 /// recovery.
 #[test]
 fn version_2_session_frames_are_rejected_and_quarantined() {
     let bytes = snapshot_bytes();
-    for version in [2, 3] {
-        let old = as_version(bytes, version);
+    for (version, old) in [
+        (2, as_version(bytes, 2)),
+        (3, as_version(bytes, 3)),
+        (4, as_version_4(bytes)),
+    ] {
         assert_version_rejected(
             SessionSnapshot::from_bytes(&old),
             "SessionSnapshot",
             version,
-            4,
+            5,
         );
         assert_old_frame_quarantined(bytes, &old);
     }

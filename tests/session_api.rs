@@ -215,9 +215,12 @@ fn partial_batch_survives_checkpoint() {
 }
 
 /// A JSON snapshot written while checkpoints still carried the
-/// session's scratch membership set has a `membership` key. It
-/// restores (the key is ignored: the set is rebuilt before every use)
-/// and the run finishes with the uninterrupted run's report bits.
+/// session's scratch membership set, its unlabeled pool and the pending
+/// batch's seed flag has `membership`, `pool` and `is_seed` keys. It
+/// restores (the keys are ignored: the set is rebuilt before every use,
+/// the pool is rederived and the flag counted nothing the batch's
+/// labels do not) and the run finishes with the uninterrupted run's
+/// report bits.
 #[test]
 fn legacy_json_snapshot_with_membership_restores() {
     let (d, feats) = task();
@@ -258,12 +261,29 @@ fn legacy_json_snapshot_with_membership_restores() {
     for &p in &batch {
         stamp[p] = 3;
     }
+    // The pool as those checkpoints stored it: the train split minus
+    // the labeled and pending pairs, in split order.
+    let pool: Vec<PairIdx> = d
+        .split()
+        .train
+        .iter()
+        .copied()
+        .filter(|p| !snapshot.train.contains(p) && !batch.contains(p))
+        .collect();
+    assert_eq!(pool.len(), session.pool_remaining());
     let json = serde_json::to_string(&snapshot).unwrap();
-    assert!(!json.contains("\"membership\""));
+    for key in ["membership", "pool", "is_seed"] {
+        assert!(!json.contains(&format!("\"{key}\"")), "{key}");
+    }
+    let pairs = format!("\"pending\":{{\"pairs\":{batch:?}").replace(' ', "");
+    assert!(json.contains(&pairs));
     let legacy = format!(
         "{{\"membership\":{{\"stamp\":{stamp:?},\"generation\":3}},{}",
         &json[1..]
-    );
+    )
+    .replacen(",\"train\":", &format!(",\"pool\":{pool:?},\"train\":"), 1)
+    .replacen(&pairs, &format!("{pairs},\"is_seed\":false"), 1);
+    assert!(legacy.contains("\"pool\":[") && legacy.contains("\"is_seed\":false"));
     let back: SessionSnapshot = serde_json::from_str(&legacy).unwrap();
     assert_eq!(back, snapshot);
     let mut restored = MatchSession::restore(d, feats, &back).unwrap();
@@ -343,10 +363,10 @@ fn session_protocol_validation() {
     assert!(borrowed.snapshot().is_err());
 
     // Malformed snapshots are rejected at restore, not by a later
-    // panic: out-of-range pool or pending-batch pairs, and a version
+    // panic: out-of-range labeled or pending-batch pairs, and a version
     // from the future.
     let mut bad = snapshot.clone();
-    bad.pool[0] = d.len();
+    bad.train[0] = d.len();
     assert!(MatchSession::restore(d, feats, &bad).is_err());
     let mut bad = snapshot.clone();
     bad.version += 1;
@@ -365,6 +385,36 @@ fn session_protocol_validation() {
     let mut bad = mid_batch.snapshot().unwrap();
     bad.pending.as_mut().unwrap().pairs[0] = d.len();
     assert!(MatchSession::restore(d, feats, &bad).is_err());
+}
+
+/// A submission is checked whole before any of it applies: a rejected
+/// call leaves the batch as it was, so the caller can fix and resubmit.
+#[test]
+fn a_rejected_submission_applies_nothing() {
+    let (d, feats) = task();
+    let config = SessionConfig {
+        experiment: quick_config(),
+        strategy: StrategySpec::Random,
+        seed: 3,
+    };
+    let mut session = MatchSession::new(d, feats, config).unwrap();
+    session.advance().unwrap();
+    let batch = session.next_query_batch();
+    let outside = (0..d.len()).find(|p| !batch.contains(p)).unwrap();
+    let first = (batch[0], d.ground_truth(batch[0]));
+    for rejected in [
+        vec![first, (outside, Label::Match)],
+        // The pair occurs once in the batch, so its second label has
+        // no open slot.
+        vec![first, first],
+    ] {
+        assert!(session.submit_labels(&rejected).is_err());
+        assert_eq!(session.next_query_batch(), batch);
+        assert_eq!(session.labels_used(), 0);
+    }
+    session.submit_labels(&[first]).unwrap();
+    assert_eq!(session.next_query_batch(), batch[1..]);
+    assert_eq!(session.labels_used(), 1);
 }
 
 /// A strategy may select the same pair more than once per batch (the
