@@ -70,7 +70,8 @@
 //! * **Recovery trusts no single frame.** Reload and [`recover`]
 //!   (crash recovery) walk [`SnapshotBackend::history`] newest→oldest,
 //!   quarantining frames that fail to decode — or whose blob is missing
-//!   or corrupt among the blob key's retained generations — and
+//!   or corrupt among the blob key's retained generations (the newest is
+//!   read first; the older ones only if it does not resolve) — and
 //!   restoring from the newest one that resolves. A torn or corrupt last
 //!   checkpoint costs one checkpoint interval, not the session.
 //! * **Memory is bounded.** With
@@ -117,6 +118,15 @@ fn blob_key(id: &str) -> String {
 /// Whether `key` names a matcher blob, which is never a session.
 fn is_blob_key(key: &str) -> bool {
     key.ends_with(MATCHER_BLOB_SUFFIX)
+}
+
+/// The matcher blobs one reload has read: the blob key's newest
+/// generation (`Some(None)` when the key has none), and every retained
+/// generation, read only once a frame names a blob the newest is not.
+#[derive(Default)]
+struct BlobReads {
+    newest: Option<Option<Vec<u8>>>,
+    retained: Option<Vec<(u64, Vec<u8>)>>,
 }
 
 /// Lock with `into_inner` poison recovery, for the store-level maps.
@@ -330,6 +340,10 @@ impl SessionStore {
         self.retry.run(|| self.backend.keys())
     }
 
+    fn backend_get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        self.retry.run(|| self.backend.get(key))
+    }
+
     fn backend_history(&self, key: &str) -> Result<Vec<(u64, Vec<u8>)>> {
         self.retry.run(|| self.backend.history(key))
     }
@@ -452,36 +466,50 @@ impl SessionStore {
     }
 
     /// Decode one persisted frame into a complete snapshot, plus the
-    /// matcher blob it named. The blob is resolved among the blob key's
-    /// retained generations by length and checksum; those are read once
-    /// per reload, into `blobs`. A missing or corrupt blob is a codec
-    /// error, exactly like a corrupt frame.
+    /// matcher blob it named. The blob is resolved by length and
+    /// checksum: first against the blob key's newest generation, which
+    /// every frame of the current training names, and only if that one
+    /// does not match or does not decode, among all retained
+    /// generations. Each is read at most once per reload, into `blobs`.
+    /// A missing or corrupt blob is a codec error, exactly like a
+    /// corrupt frame.
     fn decode_frame(
         &self,
         id: &str,
         bytes: &[u8],
-        blobs: &mut Option<Vec<(u64, Vec<u8>)>>,
+        blobs: &mut BlobReads,
     ) -> Result<(SessionSnapshot, Option<MatcherBlobRef>)> {
         let (mut snapshot, blob) = match self.codec {
             SnapshotCodec::Json => return Ok((self.codec.decode(bytes)?, None)),
             SnapshotCodec::Binary => SessionSnapshot::decode_frame(bytes)?,
         };
         if let Some(blob) = blob {
-            let retained = match blobs {
-                Some(retained) => retained,
-                None => blobs.insert(self.backend_history(&blob_key(id))?),
+            let decode = |bytes: &[u8]| {
+                if blob.names(bytes) {
+                    MatcherSnapshot::from_bytes(bytes).ok()
+                } else {
+                    None
+                }
             };
-            let matcher = retained
-                .iter()
-                .filter(|(_, bytes)| blob.names(bytes))
-                .find_map(|(_, bytes)| MatcherSnapshot::from_bytes(bytes).ok())
-                .ok_or_else(|| {
-                    EmError::Codec(format!(
-                        "session `{id}`: the matcher blob its frame names \
-                         ({} bytes, checksum {:#018x}) is missing or corrupt",
-                        blob.len, blob.checksum
-                    ))
-                })?;
+            let newest = match &blobs.newest {
+                Some(newest) => newest,
+                None => blobs.newest.insert(self.backend_get(&blob_key(id))?),
+            };
+            let mut matcher = newest.as_deref().and_then(decode);
+            if matcher.is_none() {
+                let retained = match &blobs.retained {
+                    Some(retained) => retained,
+                    None => blobs.retained.insert(self.backend_history(&blob_key(id))?),
+                };
+                matcher = retained.iter().find_map(|(_, bytes)| decode(bytes));
+            }
+            let matcher = matcher.ok_or_else(|| {
+                EmError::Codec(format!(
+                    "session `{id}`: the matcher blob its frame names \
+                     ({} bytes, checksum {:#018x}) is missing or corrupt",
+                    blob.len, blob.checksum
+                ))
+            })?;
             snapshot.matcher = Some(matcher);
         }
         Ok((snapshot, blob))
@@ -505,7 +533,7 @@ impl SessionStore {
             return Ok(Reload::Missing);
         }
         let total = frames.len();
-        let mut blobs = None;
+        let mut blobs = BlobReads::default();
         let mut decoded = None;
         for (generation, bytes) in frames {
             match self.decode_frame(id, &bytes, &mut blobs) {
@@ -1426,7 +1454,9 @@ mod tests {
             }
             store.checkpoint("s").unwrap();
             for (_, frame) in store.backend.history("s").unwrap() {
-                store.decode_frame("s", &frame, &mut None).unwrap();
+                store
+                    .decode_frame("s", &frame, &mut BlobReads::default())
+                    .unwrap();
                 frames_checked += 1;
             }
         }
@@ -1499,16 +1529,21 @@ mod tests {
         assert_eq!(strip(fresh.report("s").unwrap()), uninterrupted);
     }
 
-    /// A memory backend that counts the frames `get` reads.
+    /// A memory backend that counts the session frames `get` reads and
+    /// the matcher blobs `get` and `history` read.
     #[derive(Default)]
     struct CountingBackend {
         inner: MemoryBackend,
         gets: AtomicU64,
+        blob_reads: AtomicU64,
     }
 
     impl CountingBackend {
         fn gets(&self) -> u64 {
             self.gets.load(Ordering::Relaxed)
+        }
+        fn blob_reads(&self) -> u64 {
+            self.blob_reads.load(Ordering::Relaxed)
         }
     }
 
@@ -1517,8 +1552,14 @@ mod tests {
             self.inner.put(key, bytes)
         }
         fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
-            self.gets.fetch_add(1, Ordering::Relaxed);
-            self.inner.get(key)
+            let frame = self.inner.get(key)?;
+            let counter = if is_blob_key(key) {
+                &self.blob_reads
+            } else {
+                &self.gets
+            };
+            counter.fetch_add(u64::from(frame.is_some()), Ordering::Relaxed);
+            Ok(frame)
         }
         fn contains(&self, key: &str) -> Result<bool> {
             self.inner.contains(key)
@@ -1530,7 +1571,12 @@ mod tests {
             self.inner.keys()
         }
         fn history(&self, key: &str) -> Result<Vec<(u64, Vec<u8>)>> {
-            self.inner.history(key)
+            let frames = self.inner.history(key)?;
+            if is_blob_key(key) {
+                self.blob_reads
+                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
+            }
+            Ok(frames)
         }
         fn quarantine(&self, key: &str, generation: u64) -> Result<()> {
             self.inner.quarantine(key, generation)
@@ -1549,16 +1595,49 @@ mod tests {
         store.advance("s").unwrap();
         answer(&store, "s", usize::MAX);
         store.advance("s").unwrap(); // trained
-        store.evict("s").unwrap(); // the blob put reads the blob back once
-        assert_eq!(backend.gets(), 1);
+        store.evict("s").unwrap();
+        assert_eq!(backend.gets(), 0);
 
         // The reload reads the history, not the newest frame.
         assert_eq!(store.get("s").unwrap().phase, SessionPhase::AwaitingLabels);
-        assert_eq!(backend.gets(), 1, "reload read a frame");
+        assert_eq!(backend.gets(), 0, "reload read a frame");
         // Creating over a persisted id is still refused.
         store.evict("s").unwrap();
         assert!(store.create("s", scenario.name(), config).is_err());
-        assert_eq!(backend.gets(), 1, "create read a frame");
+        assert_eq!(backend.gets(), 0, "create read a frame");
+    }
+
+    #[test]
+    fn a_reload_reads_only_the_newest_matcher_blob() {
+        let scenario = Scenario::synthetic_scaled(DatasetProfile::amazon_google(), 0.04, 5);
+        let backend = Arc::new(CountingBackend::default());
+        let store = SessionStore::new(Box::new(backend.clone()), SnapshotCodec::Binary);
+        store.register_scenario(scenario.clone());
+        let mut config = quick_config(StrategySpec::Random, 27);
+        config.experiment.al.iterations = 2;
+        store.create("s", scenario.name(), config).unwrap();
+        // Every training checkpointed: one retained blob each.
+        loop {
+            match store.get("s").unwrap().phase {
+                SessionPhase::Done => break,
+                SessionPhase::AwaitingLabels => answer(&store, "s", usize::MAX),
+                SessionPhase::SeedDraw | SessionPhase::Training => {
+                    store.advance("s").unwrap();
+                    store.checkpoint("s").unwrap();
+                }
+            }
+        }
+        assert_eq!(backend.inner.history(&blob_key("s")).unwrap().len(), 3);
+        let before = store.get("s").unwrap();
+        store.evict("s").unwrap();
+
+        let reads = backend.blob_reads();
+        assert_eq!(store.get("s").unwrap(), before);
+        assert_eq!(
+            backend.blob_reads() - reads,
+            1,
+            "a reload read an older blob"
+        );
     }
 
     #[test]

@@ -101,7 +101,11 @@ impl SpatialIndex {
     /// ([`em_graph::build_graph_blocked`]), processing clusters in
     /// parallel. All reductions are fixed-order, so the result is
     /// identical for any thread count (golden-tested against
-    /// `rayon::serial_scope`).
+    /// `rayon::serial_scope`). The battleship strategy runs its three
+    /// builds inside one `rayon::join` (`G` beside `G⁺` then `G⁻`); a
+    /// parallel call nested in a join arm runs inline, so there the
+    /// sweep, the assignment and the edge creation each run serially and
+    /// the join's two arms fill the cores instead.
     pub fn build_normalized(
         normalized: &Embeddings,
         kinds: &[NodeKind],

@@ -88,18 +88,25 @@ impl SelectionStrategy for BattleshipStrategy {
             confs.push(1.0);
         }
         hetero_reprs.normalize_rows();
-        let spatial_seed = rng.next_u64();
-        let hetero = SpatialIndex::build_normalized(
-            hetero_reprs,
-            kinds,
-            confs,
-            &SpatialParams::from((params, spatial_seed)),
-        )?;
+        let (hetero_reprs, kinds, confs) = (&*hetero_reprs, &*kinds, &*confs);
+        let pool_preds = ctx.pool_preds;
 
-        // --- Per-side graphs over the pool (G⁺ / G⁻). ----------------------
+        // --- The three spatial indexes, built concurrently. ----------------
+        // Each build seeds itself from its own draw and consumes no other
+        // randomness, so all three seeds are drawn first, in a fixed order:
+        // G, then G⁺, then G⁻ (both side seeds are drawn even when a side
+        // is empty). Then G builds beside G⁺ + G⁻ in one `rayon::join`.
+        // Each build is thread-count independent, and a call nested inside
+        // either arm runs inline, so the two arms are two serial builds on
+        // two cores; inside a grid cell or under `rayon::serial_scope` the
+        // join runs both inline, G first. Errors surface in seed order.
+        //
         // Side rows are gathered from the already-normalized matrix
         // (pool positions are rows 0..n_pool of `hetero_reprs`).
-        let (pos_nodes, neg_nodes) = split_by_prediction(ctx.pool_preds);
+        let (pos_nodes, neg_nodes) = split_by_prediction(pool_preds);
+        let hetero_seed = rng.next_u64();
+        let plus_seed = rng.next_u64();
+        let minus_seed = rng.next_u64();
         let build_side = |positions: &[usize], kind: NodeKind, seed: u64| -> Result<Option<Side>> {
             if positions.is_empty() {
                 return Ok(None);
@@ -107,7 +114,7 @@ impl SelectionStrategy for BattleshipStrategy {
             let reprs = hetero_reprs.gather(positions)?;
             let confs: Vec<f32> = positions
                 .iter()
-                .map(|&p| ctx.pool_preds[p].confidence_in_label())
+                .map(|&p| pool_preds[p].confidence_in_label())
                 .collect();
             let index = SpatialIndex::build_normalized(
                 &reprs,
@@ -120,8 +127,23 @@ impl SelectionStrategy for BattleshipStrategy {
                 positions: positions.to_vec(),
             }))
         };
-        let plus = build_side(&pos_nodes, NodeKind::PredictedMatch, rng.next_u64())?;
-        let minus = build_side(&neg_nodes, NodeKind::PredictedNonMatch, rng.next_u64())?;
+        let (hetero, sides) = rayon::join(
+            || {
+                SpatialIndex::build_normalized(
+                    hetero_reprs,
+                    kinds,
+                    confs,
+                    &SpatialParams::from((params, hetero_seed)),
+                )
+            },
+            || -> Result<_> {
+                let plus = build_side(&pos_nodes, NodeKind::PredictedMatch, plus_seed)?;
+                let minus = build_side(&neg_nodes, NodeKind::PredictedNonMatch, minus_seed)?;
+                Ok((plus, minus))
+            },
+        );
+        let hetero = hetero?;
+        let (plus, minus) = sides?;
 
         // --- Budgets (correspondence, §3.4). --------------------------------
         let b_pos_target = positive_budget(ctx.budget, ctx.iteration);

@@ -78,8 +78,16 @@ pub fn betweenness_with_scratch(
     if m == 0 {
         return Err(EmError::EmptyInput("betweenness component".into()));
     }
-    if scratch.local.len() < graph.len() {
-        scratch.local.resize(graph.len(), u32::MAX);
+    let n = graph.len();
+    if let Some(&v) = component.iter().find(|&&v| v >= n) {
+        return Err(EmError::IndexOutOfBounds {
+            context: "betweenness component node".into(),
+            index: v,
+            len: n,
+        });
+    }
+    if scratch.local.len() < n {
+        scratch.local.resize(n, u32::MAX);
     }
     for (li, &v) in component.iter().enumerate() {
         scratch.local[v] = li as u32;
@@ -258,6 +266,23 @@ mod tests {
         let mut g = pool_graph(3);
         g.add_edge(0, 1, 0.5).unwrap();
         assert!(betweenness(&g, &[0]).is_err());
+    }
+
+    #[test]
+    fn rejects_component_nodes_outside_the_graph() {
+        let g = pool_graph(3);
+        let err = betweenness(&g, &[0, 1, 3]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EmError::IndexOutOfBounds {
+                    index: 3,
+                    len: 3,
+                    ..
+                }
+            ),
+            "unexpected error {err}"
+        );
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! ```
 //!
 //! computed per connected component by power iteration.
+//!
+//! **Component-local CSR.** Before iterating, each node's neighbours are
+//! translated once into local indexes (`offsets`/`targets`) with their
+//! weights widened to `f64`, so a power iteration reads three flat
+//! arrays and does no map lookup per edge. The translation keeps the
+//! graph's neighbour order, and every `next[u]` still gains
+//! `share · w` in component order, then neighbour order, from the same
+//! `f32 → f64` conversion: the scores are bit-identical to looking each
+//! neighbour up on every iteration (pinned by this module's tests
+//! against that loop).
 
 use em_core::{EmError, Result};
 
@@ -73,24 +83,43 @@ pub fn pagerank(
         return Err(EmError::EmptyInput("pagerank component".into()));
     }
 
-    // Local index lookup.
+    let n = graph.len();
+    if let Some(&v) = component.iter().find(|&&v| v >= n) {
+        return Err(EmError::IndexOutOfBounds {
+            context: "pagerank component node".into(),
+            index: v,
+            len: n,
+        });
+    }
+
+    // Local index lookup, used once per adjacency entry to build the
+    // component-local CSR below.
     let mut local = std::collections::HashMap::with_capacity(m);
     for (li, &v) in component.iter().enumerate() {
         local.insert(v, li);
     }
 
-    // Out-weight totals (= in-weight totals, the graph is symmetric).
+    // Out-weight totals (= in-weight totals, the graph is symmetric), and
+    // node `li`'s neighbours as local indexes in
+    // `targets[offsets[li]..offsets[li + 1]]`, in the graph's neighbour
+    // order, with their weights already widened to `f64`.
     let mut out_weight = vec![0.0f64; m];
+    let mut offsets = Vec::with_capacity(m + 1);
+    let mut targets: Vec<u32> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    offsets.push(0);
     for (li, &v) in component.iter().enumerate() {
         for &(u, w) in graph.neighbors(v) {
-            if local.contains_key(&(u as usize)) {
-                out_weight[li] += w as f64;
-            } else {
+            let Some(&lu) = local.get(&(u as usize)) else {
                 return Err(EmError::InvalidConfig(format!(
                     "node {v} has neighbour {u} outside its component"
                 )));
-            }
+            };
+            out_weight[li] += w as f64;
+            targets.push(lu as u32);
+            weights.push(w as f64);
         }
+        offsets.push(targets.len());
     }
     if m == 1 {
         return Ok(vec![1.0]);
@@ -103,15 +132,15 @@ pub fn pagerank(
     for _ in 0..config.max_iters {
         next.iter_mut().for_each(|x| *x = teleport);
         let mut dangling_mass = 0.0f64;
-        for (li, &v) in component.iter().enumerate() {
-            if out_weight[li] <= 0.0 {
+        for (li, &out) in out_weight.iter().enumerate() {
+            if out <= 0.0 {
                 dangling_mass += rank[li];
                 continue;
             }
-            let share = config.rho * rank[li] / out_weight[li];
-            for &(u, w) in graph.neighbors(v) {
-                let lu = local[&(u as usize)];
-                next[lu] += share * w as f64;
+            let share = config.rho * rank[li] / out;
+            let edges = offsets[li]..offsets[li + 1];
+            for (&lu, &w) in targets[edges.clone()].iter().zip(&weights[edges]) {
+                next[lu as usize] += share * w;
             }
         }
         // Dangling nodes spread their mass uniformly (standard fix; only
@@ -207,6 +236,124 @@ mod tests {
         g.add_edge(0, 1, 0.5).unwrap();
         // Component listing only node 0 is wrong — 1 is its neighbour.
         assert!(pagerank(&g, &[0], PageRankConfig::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_component_nodes_outside_the_graph() {
+        let g = pool_graph(3);
+        let err = pagerank(&g, &[0, 3], PageRankConfig::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EmError::IndexOutOfBounds {
+                    index: 3,
+                    len: 3,
+                    ..
+                }
+            ),
+            "unexpected error {err}"
+        );
+    }
+
+    /// PageRank with one `HashMap` lookup per edge on every power
+    /// iteration: the oracle the CSR loop must match bit for bit.
+    fn pagerank_per_edge_lookup(
+        graph: &PairGraph,
+        component: &[usize],
+        config: PageRankConfig,
+    ) -> Vec<f64> {
+        let m = component.len();
+        let mut local = std::collections::HashMap::with_capacity(m);
+        for (li, &v) in component.iter().enumerate() {
+            local.insert(v, li);
+        }
+        let mut out_weight = vec![0.0f64; m];
+        for (li, &v) in component.iter().enumerate() {
+            for &(_, w) in graph.neighbors(v) {
+                out_weight[li] += w as f64;
+            }
+        }
+        if m == 1 {
+            return vec![1.0];
+        }
+        let teleport = (1.0 - config.rho) / m as f64;
+        let mut rank = vec![1.0 / m as f64; m];
+        let mut next = vec![0.0f64; m];
+        for _ in 0..config.max_iters {
+            next.iter_mut().for_each(|x| *x = teleport);
+            let mut dangling_mass = 0.0f64;
+            for (li, &v) in component.iter().enumerate() {
+                if out_weight[li] <= 0.0 {
+                    dangling_mass += rank[li];
+                    continue;
+                }
+                let share = config.rho * rank[li] / out_weight[li];
+                for &(u, w) in graph.neighbors(v) {
+                    let lu = local[&(u as usize)];
+                    next[lu] += share * w as f64;
+                }
+            }
+            if dangling_mass > 0.0 {
+                let spread = config.rho * dangling_mass / m as f64;
+                for x in next.iter_mut() {
+                    *x += spread;
+                }
+            }
+            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut rank, &mut next);
+            if delta < config.tol {
+                break;
+            }
+        }
+        rank
+    }
+
+    #[test]
+    fn csr_iteration_is_bit_identical_to_per_edge_lookup() {
+        use em_core::Rng;
+        let mut rng = Rng::seed_from_u64(0x9A6E_4A4C);
+        let mut checked = (0usize, 0usize, 0usize); // groups, singletons, with a dangling node
+        for case in 0..24 {
+            let n = rng.range(20, 160);
+            let mut g = pool_graph(n);
+            let edges = rng.range(n / 2, 3 * n);
+            for _ in 0..edges {
+                let (u, v) = (rng.below(n), rng.below(n));
+                if u != v && !g.has_edge(u, v) {
+                    g.add_edge(u, v, rng.range_f64(0.01, 1.0) as f32).unwrap();
+                }
+            }
+            // Merge runs of 1–3 shuffled connected components into one
+            // node set: each set is closed under neighbours, and a set
+            // holding an isolated node beside others has a dangling node.
+            let mut components = crate::connected_components(&g);
+            rng.shuffle(&mut components);
+            let mut rest = components.as_slice();
+            while !rest.is_empty() {
+                let take = rng.range(1, 4).min(rest.len());
+                let mut group: Vec<usize> = rest[..take].concat();
+                rest = &rest[take..];
+                rng.shuffle(&mut group);
+                let config = PageRankConfig {
+                    rho: [0.85, 0.5, 0.99][case % 3],
+                    max_iters: [100, 7][case % 2],
+                    tol: 1e-9,
+                };
+                let fast = pagerank(&g, &group, config).unwrap();
+                let oracle = pagerank_per_edge_lookup(&g, &group, config);
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&oracle), "case {case}, group {group:?}");
+                checked.0 += 1;
+                checked.1 += usize::from(group.len() == 1);
+                checked.2 +=
+                    usize::from(group.len() > 1 && group.iter().any(|&v| g.degree(v) == 0));
+            }
+        }
+        assert!(checked.0 > 100, "too few groups: {checked:?}");
+        assert!(
+            checked.1 > 0 && checked.2 > 0,
+            "missing shapes: {checked:?}"
+        );
     }
 
     #[test]

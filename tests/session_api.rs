@@ -185,6 +185,83 @@ fn battleship_snapshot_at_every_batch_reproduces_run() {
     }
 }
 
+/// A battleship session is thread-count invariant: driven with the
+/// pool's threads and again under `rayon::serial_scope`, it queries the
+/// same batches and reports the same run. A round builds G beside
+/// G⁺ + G⁻ in one `rayon::join`, which runs inline inside a grid cell,
+/// so only a top-level session reaches its parallel path. The scenario
+/// is checked to cluster both prediction sides in every round. On a
+/// 1-thread host both drives are serial and the test shows nothing.
+#[test]
+fn battleship_session_is_thread_count_invariant() {
+    use battleship_em::al::BattleshipStrategy;
+    use battleship_em::api::{Selection, SelectionContext, SelectionStrategy};
+
+    /// Battleship, recording each round's predicted-match and
+    /// predicted-non-match pool sizes.
+    struct Sided {
+        inner: BattleshipStrategy,
+        sides: Vec<(usize, usize)>,
+    }
+    impl SelectionStrategy for Sided {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn select(
+            &mut self,
+            ctx: &mut SelectionContext<'_>,
+            rng: &mut Rng,
+        ) -> battleship_em::core::Result<Selection> {
+            let matches = ctx.pool_preds.iter().filter(|p| p.label.is_match()).count();
+            self.sides.push((matches, ctx.pool_preds.len() - matches));
+            self.inner.select(ctx, rng)
+        }
+    }
+
+    fn drive() -> (Vec<Vec<PairIdx>>, RunReport, Vec<(usize, usize)>) {
+        let (d, feats) = task();
+        let mut strategy = Sided {
+            inner: BattleshipStrategy::new(),
+            sides: Vec::new(),
+        };
+        let oracle = PerfectOracle::new();
+        let mut session =
+            MatchSession::with_strategy(d, feats, &mut strategy, quick_config(), 4).unwrap();
+        let mut batches = Vec::new();
+        loop {
+            match session.advance().unwrap() {
+                SessionPhase::AwaitingLabels => {
+                    let batch = session.next_query_batch();
+                    let labels: Vec<(PairIdx, Label)> =
+                        batch.iter().map(|&p| (p, oracle.label(d, p))).collect();
+                    session.submit_labels(&labels).unwrap();
+                    batches.push(batch);
+                }
+                SessionPhase::Done => break,
+                _ => {}
+            }
+        }
+        let report = strip(session.into_report());
+        (batches, report, strategy.sides)
+    }
+
+    let parallel = drive();
+    let serial = rayon::serial_scope(drive);
+    // A side of at least 14 nodes clusters under the default cluster
+    // size fractions (k from 7 to 20).
+    assert_eq!(parallel.2.len(), 2, "one selection per round");
+    for &(matches, non_matches) in &parallel.2 {
+        assert!(
+            matches >= 14 && non_matches >= 14,
+            "a prediction side is too small to cluster: {:?}",
+            parallel.2
+        );
+    }
+    assert_eq!(parallel.0, serial.0, "query batches diverged");
+    assert_eq!(parallel.1, serial.1, "reports diverged");
+    assert_eq!(parallel.2, serial.2);
+}
+
 /// A restored session keeps a half-labeled batch intact: only the
 /// unanswered pairs are re-queried and the report is unchanged.
 #[test]
