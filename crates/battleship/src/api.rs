@@ -28,9 +28,8 @@
 //! * **Reports**: [`RunReport`] / [`IterationRecord`] per run,
 //!   [`GridReport`] for engine grids.
 //! * **Batch execution**: [`ExperimentGrid`] fans dataset × strategy ×
-//!   seed grids out across worker threads;
-//!   [`run_active_learning`](crate::runner::run_active_learning) is the
-//!   single-run entry point (a thin oracle-driver over a session).
+//!   seed grids out across worker threads; [`run_active_learning`] is
+//!   the single-run entry point (a thin oracle-driver over a session).
 //! * **Serving**: [`SessionStore`] keys many concurrent sessions by id
 //!   over shared artifacts, persists them through a [`SnapshotCodec`]
 //!   (JSON or compact binary) into a [`SnapshotBackend`] (memory or

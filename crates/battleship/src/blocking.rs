@@ -30,6 +30,7 @@ use std::collections::HashMap;
 
 use rayon::prelude::*;
 
+use em_core::codec::fnv1a64;
 use em_core::{CandidatePair, EmError, RecordId, Result, Rng, Table, TokenSet};
 use em_synth::{block_candidates, BlockingConfig};
 use em_vector::{lsh, Embeddings};
@@ -224,19 +225,6 @@ fn exhaustive_pairs(left: &Table, right: &Table) -> Result<Vec<CandidatePair>> {
     Ok(out)
 }
 
-/// FNV-1a, the token → feature-slot hash. Stable by construction (the
-/// std hasher's output is not pinned across releases, and the feature
-/// layout must never shift under a toolchain bump).
-#[inline]
-fn fnv1a(token: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in token.as_bytes() {
-        h ^= *byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Feature-hash one record's text into a dense `dim`-vector: every word
 /// token and char trigram adds its count into slot `hash % dim` with
 /// sign from the hash's top bit (the signed trick keeps collisions
@@ -255,12 +243,12 @@ fn hash_record(text: &str, dim: usize) -> Vec<f32> {
     };
     let tokens = TokenSet::from_text(text);
     for (token, count) in tokens.iter() {
-        add(fnv1a(token), count as f32);
+        add(fnv1a64(token.as_bytes()), count as f32);
     }
     for gram in em_core::char_ngrams(text, 3) {
         // Offset trigram hashes from word hashes so "cat" the word and
         // "cat" the trigram occupy independent slots.
-        add(fnv1a(&gram) ^ 0x9e37_79b9_7f4a_7c15, 1.0);
+        add(fnv1a64(gram.as_bytes()) ^ 0x9e37_79b9_7f4a_7c15, 1.0);
     }
     let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
@@ -569,11 +557,6 @@ mod tests {
 
     #[test]
     fn feature_hashing_is_stable() {
-        // FNV-1a is pinned so the feature layout never shifts under a
-        // toolchain bump; these are the published test vectors.
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a("foobar"), 0x8594_4171_f739_67e8);
         let v = hash_record("alpha beta alpha", 8);
         let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-5);

@@ -59,10 +59,8 @@ pub struct BattleshipParams {
     /// ANN index instead of the exact blocked Gram kernel (approximate
     /// but near-linear; §5.2 names approximate search as the scale-out
     /// for this step). The default is the measured exact→ANN
-    /// crossover from the blocking bench's single-cluster sweep
-    /// (`BENCH_blocking.json`, `ann_threshold_sweep`): exact still
-    /// wins at 8192 (2.5 s vs 4.5 s) and first loses at 16384
-    /// (17.7 s vs 12.9 s), so every smaller cluster stays exact.
+    /// crossover, [`em_vector::DEFAULT_ANN_THRESHOLD`] (the measurement
+    /// is cited in [`em_vector::policy`]).
     pub ann_cluster_threshold: usize,
     /// Weak-supervision scoring method.
     pub weak_method: WeakMethod,
@@ -81,7 +79,7 @@ impl Default for BattleshipParams {
             cluster_max_frac: 0.15,
             rho: 0.85,
             kselect_sample: 800,
-            ann_cluster_threshold: 16384,
+            ann_cluster_threshold: em_vector::DEFAULT_ANN_THRESHOLD,
             weak_method: WeakMethod::Spatial,
             centrality: CentralityMeasure::PageRank,
         }

@@ -234,16 +234,6 @@ mod tests {
         )
     }
 
-    /// Zero a report's wall-clock fields (the only legitimately
-    /// run-dependent content).
-    fn strip(mut r: RunReport) -> RunReport {
-        for it in &mut r.iterations {
-            it.train_secs = 0.0;
-            it.select_secs = 0.0;
-        }
-        r
-    }
-
     #[test]
     fn grid_shape_cells_and_json() {
         let grid = quick_grid(vec![StrategySpec::Random, StrategySpec::Dal], 2, true);
@@ -296,8 +286,8 @@ mod tests {
             )
             .unwrap();
             assert_eq!(
-                strip(run.clone()),
-                strip(legacy),
+                run.canonical(),
+                legacy.canonical(),
                 "engine diverged from legacy for ({}, seed {})",
                 run.strategy,
                 run.seed

@@ -7,9 +7,9 @@
 //! carries a [`BlockingSpec`] describing how candidate pairs are
 //! extracted from the raw tables; [`BlockingSpec::Exhaustive`] is the
 //! default and leaves the legacy pair generation bit-identical. The
-//! engine materializes scenarios into immutable
-//! [`DatasetArtifacts`](super::DatasetArtifacts) exactly once per grid
-//! and shares them across every run that names them.
+//! engine materializes scenarios into immutable [`DatasetArtifacts`]
+//! exactly once per grid and shares them across every run that names
+//! them.
 
 use std::path::PathBuf;
 

@@ -10,7 +10,7 @@
 //! session over a caller-managed strategy the same way.
 //!
 //! The pre-redesign closed loop is preserved **verbatim** below as
-//! [`execute_run_closed`] (public via
+//! `execute_run_closed` (public via
 //! [`crate::runner::run_closed_loop`]): the golden tests in
 //! `tests/session_api.rs` and the `em-bench` session bench pin the
 //! session-driven path bit-identical (modulo wall-clock) to it for

@@ -7,7 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use em_core::{metrics::mean, EmError, F1Curve, Result};
+use em_core::metrics::{mean, std_dev};
+use em_core::{EmError, F1Curve, Result};
 
 /// One active-learning iteration's outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,6 +74,19 @@ impl RunReport {
     /// Total oracle labels consumed.
     pub fn total_labels(&self) -> usize {
         self.iterations.last().map(|it| it.labels_used).unwrap_or(0)
+    }
+
+    /// A copy with the run's wall-clock fields, `train_secs` and
+    /// `select_secs`, zeroed. Everything else in a run is a
+    /// deterministic function of its inputs, so two canonical runs
+    /// compare bit for bit however they were scheduled.
+    pub fn canonical(&self) -> RunReport {
+        let mut out = self.clone();
+        for it in &mut out.iterations {
+            it.train_secs = 0.0;
+            it.select_secs = 0.0;
+        }
+        out
     }
 }
 
@@ -161,16 +175,6 @@ impl MultiSeedReport {
     pub fn final_f1(&self) -> Option<f64> {
         self.mean_curve.last().map(|&(_, y)| y)
     }
-}
-
-/// Population standard deviation (0 for a single sample).
-fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    var.sqrt()
 }
 
 /// One (dataset, strategy) cell of an experiment grid: the seed-averaged
@@ -262,19 +266,17 @@ impl GridReport {
     /// Two canonical reports of the same grid are bit-identical for any
     /// worker-thread count — the property the engine's golden tests pin.
     pub fn canonical(&self) -> GridReport {
-        let mut out = self.clone();
-        out.threads = 0;
-        out.wall_secs = 0.0;
+        let mut out = GridReport {
+            master_seed: self.master_seed,
+            threads: 0,
+            wall_secs: 0.0,
+            cells: self.cells.clone(),
+            runs: self.runs.iter().map(RunReport::canonical).collect(),
+        };
         for cell in &mut out.cells {
             cell.mean_run_secs = 0.0;
             for s in &mut cell.aggregate.mean_select_secs {
                 *s = 0.0;
-            }
-        }
-        for run in &mut out.runs {
-            for it in &mut run.iterations {
-                it.train_secs = 0.0;
-                it.select_secs = 0.0;
             }
         }
         out
@@ -424,5 +426,30 @@ mod tests {
             g.cells[0].aggregate.mean_curve
         );
         assert_eq!(c.canonical(), c);
+    }
+
+    #[test]
+    fn run_canonical_zeroes_exactly_the_two_timing_fields() {
+        let r = run(5, &[12.5, 40.25, 61.0]);
+        let expected = RunReport {
+            iterations: r
+                .iterations
+                .iter()
+                .map(|it| IterationRecord {
+                    train_secs: 0.0,
+                    select_secs: 0.0,
+                    ..it.clone()
+                })
+                .collect(),
+            ..r.clone()
+        };
+        // JSON floats round-trip exactly, so equal text is equal bits.
+        let json = |r: &RunReport| serde_json::to_string(r).unwrap();
+        assert_ne!(json(&r), json(&expected));
+        assert_eq!(json(&r.canonical()), json(&expected));
+
+        let g = grid_report();
+        let per_run: Vec<RunReport> = g.runs.iter().map(RunReport::canonical).collect();
+        assert_eq!(g.canonical().runs, per_run);
     }
 }

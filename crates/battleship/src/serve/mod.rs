@@ -1,5 +1,6 @@
-//! The serving subsystem: many concurrent [`MatchSession`]s behind a
-//! keyed store, persisted compactly, sharing dataset artifacts.
+//! The serving subsystem: many concurrent
+//! [`MatchSession`](crate::MatchSession)s behind a keyed store,
+//! persisted compactly, sharing dataset artifacts.
 //!
 //! The paper's protocol (§3.1) puts a human labeler in the loop — a
 //! deployment serves many long-lived, latency-tolerant sessions rather

@@ -233,9 +233,9 @@ enum Reload {
 
 /// A keyed store of live [`MatchSession`]s over shared artifacts.
 ///
-/// See the [module docs](self) for the data-flow picture. All methods
-/// take `&self`: the store is interior-mutable and safe to share
-/// (`Arc<SessionStore>`) across request handlers.
+/// See the [module docs](crate::serve) for the data-flow picture. All
+/// methods take `&self`: the store is interior-mutable and safe to
+/// share (`Arc<SessionStore>`) across request handlers.
 pub struct SessionStore {
     backend: Box<dyn SnapshotBackend>,
     codec: SnapshotCodec,
@@ -1312,15 +1312,7 @@ mod tests {
         let (store, scenario) = store_with_scenario();
         store.create("ref", scenario.name(), config).unwrap();
         drive(&store, "ref");
-        strip(store.report("ref").unwrap())
-    }
-
-    fn strip(mut r: RunReport) -> RunReport {
-        for it in &mut r.iterations {
-            it.train_secs = 0.0;
-            it.select_secs = 0.0;
-        }
-        r
+        store.report("ref").unwrap().canonical()
     }
 
     /// A store over `backend`, as a restarted process opens it, with
@@ -1361,7 +1353,7 @@ mod tests {
         assert!(report.quarantined.is_empty() && report.lost.is_empty());
         assert_eq!(store.get("s").unwrap(), before);
         drive(&store, "s");
-        assert_eq!(strip(store.report("s").unwrap()), reference(config));
+        assert_eq!(store.report("s").unwrap().canonical(), reference(config));
     }
 
     #[test]
@@ -1394,7 +1386,7 @@ mod tests {
         assert!(report.quarantined.is_empty() && report.lost.is_empty());
         assert_eq!(store.get("s").unwrap(), before, "labels were lost");
         drive(&store, "s");
-        assert_eq!(strip(store.report("s").unwrap()), reference(config));
+        assert_eq!(store.report("s").unwrap().canonical(), reference(config));
     }
 
     #[test]
@@ -1434,7 +1426,10 @@ mod tests {
             "unexpected error {err}"
         );
         drive(&store, "fallback");
-        assert_eq!(strip(store.report("fallback").unwrap()), reference(config));
+        assert_eq!(
+            store.report("fallback").unwrap().canonical(),
+            reference(config)
+        );
     }
 
     #[test]
@@ -1524,9 +1519,9 @@ mod tests {
 
         let uninterrupted = reference(config);
         drive(&store, "s");
-        assert_eq!(strip(store.report("s").unwrap()), uninterrupted);
+        assert_eq!(store.report("s").unwrap().canonical(), uninterrupted);
         drive(&fresh, "s");
-        assert_eq!(strip(fresh.report("s").unwrap()), uninterrupted);
+        assert_eq!(fresh.report("s").unwrap().canonical(), uninterrupted);
     }
 
     /// A memory backend that counts the session frames `get` reads and

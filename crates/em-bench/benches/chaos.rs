@@ -41,41 +41,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use battleship::api::{
-    ArtifactCache, DirBackend, Fault, FaultPlan, FaultyBackend, Label, MemoryBackend, PairIdx,
-    RunReport, Scenario, SessionConfig, SessionPhase, SessionStore, SnapshotCodec, StrategySpec,
+    ArtifactCache, DirBackend, Fault, FaultPlan, FaultyBackend, MemoryBackend, Scenario,
+    SessionConfig, SessionStore, SnapshotCodec,
 };
 use battleship::ExperimentConfig;
 use em_bench::env_or;
+use em_bench::store::{answer_batches, drive_to_done, session_plan, PlannedSession};
 use em_synth::DatasetProfile;
-
-/// Zero a run's wall-clock fields for equality comparison.
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
-}
-
-/// Session ids `c00..cNN` with strategy and seed derived from the index
-/// (a heterogeneous population, as a server would see).
-fn session_plan(n: usize) -> Vec<(String, StrategySpec, u64)> {
-    (0..n)
-        .map(|i| {
-            (
-                format!("c{i:02}"),
-                StrategySpec::all()[i % 4],
-                0xC4A0 + i as u64,
-            )
-        })
-        .collect()
-}
 
 fn populate(
     store: &SessionStore,
     scenario: &Scenario,
     config: &ExperimentConfig,
-    plan: &[(String, StrategySpec, u64)],
+    plan: &[PlannedSession],
 ) {
     store.register_scenario(scenario.clone());
     for (id, strategy, seed) in plan {
@@ -91,48 +69,6 @@ fn populate(
             )
             .expect("create session");
     }
-}
-
-/// Answer every outstanding query batch from ground truth.
-fn answer_batches(store: &SessionStore, plan: &[(String, StrategySpec, u64)]) {
-    for (id, _, _) in plan {
-        let batch = store.next_query_batch(id).expect("query batch");
-        if batch.is_empty() {
-            continue;
-        }
-        let artifacts = store.artifacts(id).expect("artifacts");
-        let answers: Vec<(PairIdx, Label)> = batch
-            .iter()
-            .map(|&p| (p, artifacts.dataset.ground_truth(p)))
-            .collect();
-        store.submit_labels(id, &answers).expect("submit labels");
-    }
-}
-
-/// Drive every session to `Done` in store-wide rounds, checkpointing
-/// after each round when asked.
-fn drive_to_done(
-    store: &SessionStore,
-    plan: &[(String, StrategySpec, u64)],
-    checkpoint_each_round: bool,
-) -> Vec<RunReport> {
-    loop {
-        answer_batches(store, plan);
-        let stepped = store.step_ready_sessions().expect("step sessions");
-        if checkpoint_each_round {
-            store.checkpoint_all().expect("checkpoint all");
-        }
-        if stepped.is_empty() {
-            let all_done = plan
-                .iter()
-                .all(|(id, _, _)| store.get(id).expect("status").phase == SessionPhase::Done);
-            assert!(all_done, "store stalled with sessions not Done");
-            break;
-        }
-    }
-    plan.iter()
-        .map(|(id, _, _)| store.report(id).expect("report"))
-        .collect()
 }
 
 fn main() {
@@ -152,7 +88,7 @@ fn main() {
     let art = cache
         .get_or_materialize(&scenario)
         .expect("materialize scenario");
-    let plan = session_plan(n_sessions);
+    let plan = session_plan("c", 0xC4A0, n_sessions);
     eprintln!(
         "[chaos] {} sessions over `{}` ({} pairs), fault plan seed {seed:#x}",
         n_sessions,
@@ -262,7 +198,7 @@ fn main() {
 
     let mut mismatched = Vec::new();
     for ((id, _, _), (r, c)) in plan.iter().zip(reference.iter().zip(&chaos_reports)) {
-        if strip(r.clone()) != strip(c.clone()) {
+        if r.canonical() != c.canonical() {
             mismatched.push(id.clone());
         }
     }

@@ -47,15 +47,6 @@ use em_bench::env_or;
 use em_core::PerfectOracle;
 use em_synth::DatasetProfile;
 
-/// Zero a run's wall-clock fields for equality comparison.
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
-}
-
 fn main() {
     let scale: f64 = env_or("EM_BENCH_ENGINE_SCALE", 0.1);
     let n_seeds: usize = env_or("EM_BENCH_ENGINE_SEEDS", 3);
@@ -132,8 +123,8 @@ fn main() {
     assert_eq!(grid_report.runs.len(), legacy_runs.len());
     for (g, l) in grid_report.runs.iter().zip(&legacy_runs) {
         assert_eq!(
-            strip(g.clone()),
-            strip(l.clone()),
+            g.canonical(),
+            l.canonical(),
             "engine diverged from legacy for ({}, seed {})",
             g.strategy,
             g.seed

@@ -87,7 +87,7 @@ fn bench_knn_indexes(c: &mut Criterion) {
     {
         let k = 15usize;
         group.bench_with_input(BenchmarkId::new("exact", k), &k, |b, &k| {
-            b.iter(|| top_k(black_box(&data), data.row(17), k, Some(17)))
+            b.iter(|| top_k(black_box(&data), data.row(17), k, Some(17)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("hnsw", k), &k, |b, &k| {
             b.iter(|| hnsw.search(data.row(17), k, Some(17)).unwrap())
@@ -129,6 +129,7 @@ fn bench_hnsw(c: &mut Criterion) {
         let mut total = 0usize;
         for &qi in &probes {
             let exact: std::collections::HashSet<usize> = top_k(&data, data.row(qi), k, Some(qi))
+                .unwrap()
                 .into_iter()
                 .map(|nb| nb.index)
                 .collect();

@@ -37,35 +37,12 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use battleship::api::{
-    ArtifactCache, Label, MemoryBackend, PairIdx, RunReport, Scenario, SessionConfig, SessionPhase,
-    SessionStore, SnapshotCodec, StrategySpec,
+    ArtifactCache, MemoryBackend, Scenario, SessionConfig, SessionStore, SnapshotCodec,
 };
 use battleship::ExperimentConfig;
 use em_bench::env_or;
+use em_bench::store::{answer_batches, drive_to_done, session_plan, PlannedSession};
 use em_synth::DatasetProfile;
-
-/// Zero a run's wall-clock fields for equality comparison.
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
-}
-
-/// Session ids `s00..sNN`, each with a strategy and seed derived from
-/// its index (a heterogeneous session population, as a server would see).
-fn session_plan(n: usize) -> Vec<(String, StrategySpec, u64)> {
-    (0..n)
-        .map(|i| {
-            (
-                format!("s{i:02}"),
-                StrategySpec::all()[i % 4],
-                0x5EED + i as u64,
-            )
-        })
-        .collect()
-}
 
 /// Build a fresh store over `backend` and populate it with the session
 /// plan.
@@ -74,7 +51,7 @@ fn populate(
     cache: Arc<ArtifactCache>,
     scenario: &Scenario,
     config: &ExperimentConfig,
-    plan: &[(String, StrategySpec, u64)],
+    plan: &[PlannedSession],
 ) -> SessionStore {
     let store = SessionStore::with_cache(Box::new(backend), SnapshotCodec::Binary, cache);
     store.register_scenario(scenario.clone());
@@ -94,49 +71,6 @@ fn populate(
     store
 }
 
-/// Answer every outstanding query batch from ground truth.
-fn answer_batches(store: &SessionStore, plan: &[(String, StrategySpec, u64)]) {
-    for (id, _, _) in plan {
-        let batch = store.next_query_batch(id).expect("query batch");
-        if batch.is_empty() {
-            continue;
-        }
-        let artifacts = store.artifacts(id).expect("artifacts");
-        let answers: Vec<(PairIdx, Label)> = batch
-            .iter()
-            .map(|&p| (p, artifacts.dataset.ground_truth(p)))
-            .collect();
-        store.submit_labels(id, &answers).expect("submit labels");
-    }
-}
-
-/// Drive every session to `Done` in store-wide rounds:
-/// answer all batches, step everything trainable, repeat. Optionally
-/// checkpoint the whole store after every step round.
-fn drive_store(
-    store: &SessionStore,
-    plan: &[(String, StrategySpec, u64)],
-    checkpoint_each_round: bool,
-) -> Vec<RunReport> {
-    loop {
-        answer_batches(store, plan);
-        let stepped = store.step_ready_sessions().expect("step sessions");
-        if checkpoint_each_round {
-            store.checkpoint_all().expect("checkpoint all");
-        }
-        if stepped.is_empty() {
-            let all_done = plan
-                .iter()
-                .all(|(id, _, _)| store.get(id).expect("status").phase == SessionPhase::Done);
-            assert!(all_done, "store stalled with sessions not Done");
-            break;
-        }
-    }
-    plan.iter()
-        .map(|(id, _, _)| store.report(id).expect("report"))
-        .collect()
-}
-
 fn main() {
     let scale: f64 = env_or("EM_BENCH_SERVE_SCALE", 0.06);
     let n_sessions: usize = env_or("EM_BENCH_SERVE_SESSIONS", 32);
@@ -154,7 +88,7 @@ fn main() {
     let art = cache
         .get_or_materialize(&scenario)
         .expect("materialize scenario");
-    let plan = session_plan(n_sessions);
+    let plan = session_plan("s", 0x5EED, n_sessions);
     eprintln!(
         "[serve] {} sessions over one shared `{}` artifact set ({} pairs), 2 iterations × 20 labels",
         n_sessions,
@@ -174,15 +108,15 @@ fn main() {
 
     // Golden: parallel fan-out ≡ forced-serial stepping, per session.
     eprintln!("[serve] golden check: parallel step_ready_sessions ≡ serial stepping …");
-    let parallel_reports = drive_store(&fresh_store(), &plan, false);
-    let serial_reports = rayon::serial_scope(|| drive_store(&fresh_store(), &plan, false));
+    let parallel_reports = drive_to_done(&fresh_store(), &plan, false);
+    let serial_reports = rayon::serial_scope(|| drive_to_done(&fresh_store(), &plan, false));
     for ((id, _, _), (p, s)) in plan
         .iter()
         .zip(parallel_reports.iter().zip(&serial_reports))
     {
         assert_eq!(
-            strip(p.clone()),
-            strip(s.clone()),
+            p.canonical(),
+            s.canonical(),
             "session `{id}` diverged between parallel and serial stepping"
         );
     }
@@ -199,14 +133,14 @@ fn main() {
     store.checkpoint_all().expect("checkpoint all");
     drop(store);
     let recovered = populate_recover(backend, cache.clone(), &scenario);
-    let recovered_reports = drive_store(&recovered, &plan, true);
+    let recovered_reports = drive_to_done(&recovered, &plan, true);
     for ((id, _, _), (p, r)) in plan
         .iter()
         .zip(parallel_reports.iter().zip(&recovered_reports))
     {
         assert_eq!(
-            strip(p.clone()),
-            strip(r.clone()),
+            p.canonical(),
+            r.canonical(),
             "session `{id}` diverged after crash recovery"
         );
     }
@@ -215,7 +149,7 @@ fn main() {
     // Timing: serial stepping pinned to one core …
     eprintln!("[serve] timing serial store stepping (one core) …");
     let serial = rayon::serial_scope(|| {
-        criterion::measure(samples, || drive_store(&fresh_store(), &plan, false))
+        criterion::measure(samples, || drive_to_done(&fresh_store(), &plan, false))
     });
     eprintln!("[serve] serial stepping: {:.3} s", serial.median_secs);
 
@@ -225,7 +159,7 @@ fn main() {
     eprintln!("[serve] timing parallel drive, plain vs per-round checkpoint_all (paired) …");
     let time_drive = |checkpoint_each_round: bool| {
         criterion::measure(1, || {
-            drive_store(&fresh_store(), &plan, checkpoint_each_round)
+            drive_to_done(&fresh_store(), &plan, checkpoint_each_round)
         })
         .median_secs
     };

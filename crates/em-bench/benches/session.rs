@@ -24,20 +24,9 @@
 use std::io::Write as _;
 
 use battleship::api::{MatchSession, PerfectOracle, SessionConfig};
-use battleship::{
-    run_active_learning, run_closed_loop, ExperimentConfig, RunReport, Scenario, StrategySpec,
-};
+use battleship::{run_active_learning, run_closed_loop, ExperimentConfig, Scenario, StrategySpec};
 use em_bench::env_or;
 use em_synth::DatasetProfile;
-
-/// Zero a run's wall-clock fields for equality comparison.
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
-}
 
 fn main() {
     let scale: f64 = env_or("EM_BENCH_SESSION_SCALE", 0.1);
@@ -84,8 +73,8 @@ fn main() {
         )
         .expect("session run");
         assert_eq!(
-            strip(closed),
-            strip(session),
+            closed.canonical(),
+            session.canonical(),
             "session diverged from the closed loop for `{}`",
             spec.name()
         );

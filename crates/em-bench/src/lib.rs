@@ -37,6 +37,8 @@ use battleship::{
 };
 use em_core::Result;
 
+pub mod store;
+
 /// Parse an environment variable, falling back to `default` when unset
 /// or unparsable — the shared knob reader of the gated bench binaries.
 pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {

@@ -19,9 +19,9 @@
 //! * [`silhouette`] — cluster-quality scoring (Rousseeuw 1987),
 //! * [`kselect`] — the paper's `k`-selection policy combining the two,
 //! * [`gmm`] — diagonal-covariance Gaussian mixture EM,
-//! * [`reference`] — the seed's scalar/serial clustering paths, kept
-//!   verbatim as the measured baseline for the blocked + parallel
-//!   implementations above.
+//! * [`reference`](mod@reference) — the seed's scalar/serial clustering
+//!   paths, kept verbatim as the measured baseline for the blocked +
+//!   parallel implementations above.
 
 pub mod constrained;
 pub mod flow;

@@ -39,8 +39,8 @@
 //!
 //! Four independent lanes let the multiplies of consecutive words
 //! overlap, so the checksum runs at about memory speed instead of one
-//! dependent multiply per byte. [`fnv1a64`] stays as the byte-wise
-//! reference hash for digests pinned elsewhere; no frame uses it.
+//! dependent multiply per byte. [`fnv1a64`] is the byte-wise hash of
+//! feature slots and of digests pinned elsewhere; no frame uses it.
 //!
 //! Floats are written as their IEEE-754 bit patterns, so a decoded
 //! value is *bit-identical* to the encoded one — the same contract the
@@ -72,8 +72,12 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a 64 over `bytes`, one byte at a time. Frames use the faster
-/// [`frame_checksum`]; this stays for digests pinned by other crates.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// [`frame_checksum`]; this is the feature-slot hash of the matcher's
+/// featurizer and the blocking tier (pinned, unlike the std hasher, so
+/// a toolchain bump never shifts a feature layout) and the digest other
+/// crates pin. Any byte iterator works, so a caller can hash
+/// `namespace ++ token` as `a.iter().chain(b)` without allocating.
+pub fn fnv1a64<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -764,6 +768,9 @@ mod tests {
         // Reference vectors for FNV-1a 64.
         assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_F739_67E8);
+        // A chained iterator hashes the concatenation.
+        assert_eq!(fnv1a64(b"foo".iter().chain(b"bar")), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -27,39 +27,20 @@ use crate::graph::{NodeKind, PairGraph};
 
 /// A symmetric similarity provider over node indices.
 ///
-/// Production code uses [`EmbeddingSim`] (cosine over pair
-/// representations); tests use [`MatrixSim`] to encode the paper's
-/// Table 2 directly.
+/// The pipeline builds its graphs with [`build_graph_blocked`], which
+/// reads similarities off each cluster's Gram rows. [`build_graph`] over
+/// [`DotSim`] is the scalar reference it is pinned to bit for bit; tests
+/// use [`MatrixSim`] to encode the paper's Table 2 directly.
 pub trait Similarity {
     /// Similarity between nodes `i` and `j` (symmetric).
     fn sim(&self, i: usize, j: usize) -> f32;
 }
 
-/// Cosine similarity over embedding rows.
-pub struct EmbeddingSim<'a> {
-    embeddings: &'a Embeddings,
-}
-
-impl<'a> EmbeddingSim<'a> {
-    /// Wrap an embedding matrix.
-    pub fn new(embeddings: &'a Embeddings) -> Self {
-        EmbeddingSim { embeddings }
-    }
-}
-
-impl Similarity for EmbeddingSim<'_> {
-    #[inline]
-    fn sim(&self, i: usize, j: usize) -> f32 {
-        self.embeddings.cosine(i, j)
-    }
-}
-
 /// Dot-product similarity over rows that the caller has already
 /// L2-normalized (see [`Embeddings::normalize_rows`]).
 ///
-/// Equivalent to [`EmbeddingSim`] on normalized data but ~3× cheaper in
-/// the edge-creation hot loop, which evaluates `O(m²)` similarities per
-/// cluster.
+/// On unit-norm rows this is their cosine, without re-deriving the
+/// norms in a loop that evaluates `O(m²)` similarities per cluster.
 pub struct DotSim<'a> {
     embeddings: &'a Embeddings,
 }
@@ -284,12 +265,7 @@ impl Default for BlockedConfig {
     fn default() -> Self {
         BlockedConfig {
             edge: EdgeConfig::default(),
-            // Measured exact→ANN crossover (BENCH_blocking.json's
-            // single-cluster sweep): the dense kernel still beats HNSW
-            // at 8192 and first loses at 16384. The 16384² Gram is
-            // 1 GiB f32 per worker — lower the threshold on
-            // memory-tight many-core hosts.
-            ann_threshold: 16384,
+            ann_threshold: em_vector::DEFAULT_ANN_THRESHOLD,
             ann_seed: 0xA22_0E55,
         }
     }
@@ -853,14 +829,6 @@ pub(crate) mod tests {
     fn matrix_sim_validates_entries() {
         assert!(MatrixSim::from_entries(2, &[(0, 0, 1.0)]).is_err());
         assert!(MatrixSim::from_entries(2, &[(0, 5, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn embedding_sim_wraps_cosine() {
-        let e = Embeddings::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
-        let s = EmbeddingSim::new(&e);
-        assert!(s.sim(0, 1).abs() < 1e-6);
-        assert!((s.sim(0, 2) - (0.5f32).sqrt()).abs() < 1e-5);
     }
 
     fn random_pool(n: usize, dim: usize, seed: u64) -> (Embeddings, Vec<NodeKind>, Vec<f32>) {

@@ -29,8 +29,7 @@ pub mod pagerank;
 
 pub use betweenness::{betweenness, betweenness_with_scratch, BetweennessScratch};
 pub use build::{
-    build_graph, build_graph_blocked, BlockedConfig, DotSim, EdgeConfig, EmbeddingSim, MatrixSim,
-    Similarity,
+    build_graph, build_graph_blocked, BlockedConfig, DotSim, EdgeConfig, MatrixSim, Similarity,
 };
 pub use certainty::{binary_entropy, certainty_score, spatial_confidence};
 pub use components::connected_components;

@@ -19,6 +19,7 @@
 //!                      trigram jaccard, overlap and length ratio
 //! ```
 
+use em_core::codec::fnv1a64;
 use em_core::{
     char_ngrams, jaccard, overlap_coefficient, tokenize, Dataset, EmError, PairIdx, Result,
     TokenSet,
@@ -307,21 +308,11 @@ impl Featurizer {
 
     /// Signed feature hashing: bucket by FNV-1a, sign by a second hash.
     fn bump(&self, out: &mut [f32], namespace: &str, token: &str, weight: f32) {
-        let h = fnv1a(namespace.as_bytes(), token.as_bytes());
+        let h = fnv1a64(namespace.as_bytes().iter().chain(token.as_bytes()));
         let bucket = (h % self.config.n_buckets as u64) as usize;
         let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         out[bucket] += sign * weight;
     }
-}
-
-/// FNV-1a over a namespaced byte string.
-fn fnv1a(namespace: &[u8], token: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in namespace.iter().chain(token) {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// 1 − relative difference for numeric-looking values; 0 when either side

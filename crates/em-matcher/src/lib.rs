@@ -21,9 +21,9 @@
 //!   representation** (the `[CLS]` analogue); both passes are
 //!   layer-level GEMMs on `em-vector`'s runtime-dispatched kernels over
 //!   a reusable workspace,
-//! * [`reference`] — the seed's per-sample scalar forward/backward/
-//!   train/predict loops, preserved verbatim as the measured baseline
-//!   for the `em-bench` matcher benchmark,
+//! * [`reference`](mod@reference) — the seed's per-sample scalar
+//!   forward/backward/train/predict loops, preserved verbatim as the
+//!   measured baseline for the `em-bench` matcher benchmark,
 //! * [`adamw`] — the AdamW optimizer (Loshchilov & Hutter), which the
 //!   paper also uses,
 //! * [`matcher`] — the training loop: mini-batches, epochs, best-epoch

@@ -1,6 +1,6 @@
 //! Streamed record-pool generation for blocking-scale scenarios.
 //!
-//! [`crate::generate`] builds a *pair-level* dataset: it decides up front
+//! [`generate`](fn@crate::generate) builds a *pair-level* dataset: it decides up front
 //! which candidate pairs exist and renders exactly the records those
 //! pairs need. That is the right shape when the candidate set is given
 //! (paper §2.1), but it cannot exercise a blocking tier — the pair set

@@ -492,6 +492,7 @@ mod tests {
         let mut total = 0;
         for q in (0..200).step_by(17) {
             let exact: Vec<usize> = top_k(&data, data.row(q), 10, Some(q))
+                .unwrap()
                 .into_iter()
                 .map(|n| n.index)
                 .collect();

@@ -12,11 +12,10 @@
 //! * [`gemm`] / [`gemm_bias_relu`] — cache-blocked row-major `A·Bᵀ`
 //!   matrix products (the MLP forward/backward building block; the
 //!   fused variant adds a per-column bias and an optional ReLU);
-//! * [`gram_packed`] / [`gram_block`] — cache-blocked Gram matrices
-//!   (`X·Yᵀ`) over row subsets, computed once and reused by every
-//!   downstream stage;
-//! * [`top_k_batch`] — batched top-`k` by dot product with the exact
-//!   ordering semantics of the scalar [`crate::knn`] search;
+//! * [`gram_packed`] — the cache-blocked symmetric Gram matrix of a
+//!   packed row subset (one cluster), computed once and reused by every
+//!   downstream stage (`em_graph::build_graph_blocked` takes each
+//!   row's in-cluster neighbours straight from it);
 //! * [`sq_dist`] / [`sq_dist_batch`] — an ILP-friendly unrolled squared
 //!   Euclidean distance (the seed's scalar loop carried a
 //!   single-accumulator dependency chain that cost ~3× on wide rows);
@@ -108,7 +107,6 @@ use rayon::prelude::*;
 use em_core::{EmError, Result};
 
 use crate::embeddings::{dot as portable_dot, Embeddings};
-use crate::knn::{Neighbor, TopBuffer};
 
 // --- Runtime ISA dispatch. -----------------------------------------------
 
@@ -661,27 +659,16 @@ pub fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-/// Blocked Gram matrix between two packed row sets: `out[i·nb + j] =
-/// dot(a_i, b_j)`.
-///
-/// `a` has `na` rows and `b` has `nb` rows, both of width `dim`. A Gram
-/// matrix over row subsets *is* the [`gemm`] product `A·Bᵀ`, so this
-/// simply delegates — same tiling, same micro-kernel, each entry one
-/// [`dot`] call (bit-identical to the scalar path).
-pub fn gram_block(a: &[f32], na: usize, b: &[f32], nb: usize, dim: usize, out: &mut [f32]) {
-    gemm(a, na, b, nb, dim, out);
-}
-
 /// Cache-blocked row-major GEMM against a transposed right operand:
 /// `out[i·n + j] = dot(a_i, b_j)` — i.e. `C = A·Bᵀ` with `A` of shape
 /// `m × k` and `B` of shape `n × k`, both row-major.
 ///
 /// This is the matcher's layer product: with `A` a batch of activations
 /// and `B` a weight matrix stored as `n` output rows of `k` inputs,
-/// `C` is the batch of pre-activations. Same tiling as [`gram_block`];
-/// each entry is exactly one [`dot`] call on the tier dispatched once
-/// per GEMM, so the result is bit-identical to the per-row scalar path
-/// on every tier.
+/// `C` is the batch of pre-activations (a Gram matrix between two
+/// packed row subsets is the same product). Each entry is exactly one
+/// [`dot`] call on the tier dispatched once per GEMM, so the result is
+/// bit-identical to the per-row scalar path on every tier.
 pub fn gemm(a: &[f32], m: usize, b: &[f32], n: usize, k: usize, out: &mut [f32]) {
     // Hard asserts: the AVX2 micro-kernel reads through raw pointers, so
     // an undersized operand must panic here rather than read out of
@@ -793,77 +780,6 @@ pub fn gram_packed(packed: &[f32], n: usize, dim: usize) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Scalar reference for the batched top-`k`: dot-product top-`k` of
-/// `query_row` among `among`, skipping the query itself.
-///
-/// Same selection semantics as [`crate::knn::top_k_among`] (descending
-/// similarity, ties toward the smaller index) but with the raw dot
-/// product the graph builder uses on pre-normalized rows, instead of
-/// re-deriving cosine.
-pub fn top_k_among_dot(
-    data: &Embeddings,
-    query_row: usize,
-    among: &[usize],
-    k: usize,
-) -> Vec<Neighbor> {
-    let q = data.row(query_row);
-    let mut buf = TopBuffer::new(k);
-    for &i in among {
-        if i == query_row {
-            continue;
-        }
-        buf.offer(Neighbor {
-            index: i,
-            similarity: dot(q, data.row(i)),
-        });
-    }
-    buf.into_sorted()
-}
-
-/// Batched top-`k` by dot product: for every query row, its `k` most
-/// similar rows among `among` (global indices), excluding itself.
-///
-/// One blocked pass packs the candidate rows and streams them against
-/// each query; queries are processed in parallel. Results are exactly
-/// [`top_k_among_dot`] per query — the top-`k` under the total order
-/// (similarity desc, index asc) does not depend on candidate visit
-/// order.
-pub fn top_k_batch(
-    data: &Embeddings,
-    queries: &[usize],
-    among: &[usize],
-    k: usize,
-) -> Vec<Vec<Neighbor>> {
-    let dim = data.dim();
-    let packed = pack_rows(data, among);
-    let tier = simd_tier();
-    queries
-        .par_iter()
-        .map(|&q| {
-            let qrow = data.row(q);
-            let mut buf = TopBuffer::new(k);
-            let mut sims = [0.0f32; TILE];
-            for c0 in (0..among.len()).step_by(TILE) {
-                let c1 = (c0 + TILE).min(among.len());
-                for (s, c) in (c0..c1).enumerate() {
-                    sims[s] = dot_with_tier(tier, qrow, &packed[c * dim..(c + 1) * dim]);
-                }
-                for (s, c) in (c0..c1).enumerate() {
-                    let idx = among[c];
-                    if idx == q {
-                        continue;
-                    }
-                    buf.offer(Neighbor {
-                        index: idx,
-                        similarity: sims[s],
-                    });
-                }
-            }
-            buf.into_sorted()
-        })
-        .collect()
 }
 
 /// Portable squared Euclidean distance (16 accumulator lanes).
@@ -1026,66 +942,6 @@ mod tests {
                 assert_eq!(gram[a * m + b].to_bits(), expected.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn gram_block_rectangular_matches_scalar() {
-        let data = gaussian(100, 24, 3);
-        let rows: Vec<usize> = (0..70).collect();
-        let cols: Vec<usize> = (70..100).collect();
-        let a = pack_rows(&data, &rows);
-        let b = pack_rows(&data, &cols);
-        let mut out = vec![0.0f32; rows.len() * cols.len()];
-        gram_block(&a, rows.len(), &b, cols.len(), 24, &mut out);
-        for (i, &r) in rows.iter().enumerate() {
-            for (j, &c) in cols.iter().enumerate() {
-                assert_eq!(
-                    out[i * cols.len() + j].to_bits(),
-                    dot(data.row(r), data.row(c)).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_batch_matches_scalar_reference_exactly() {
-        let data = gaussian(130, 19, 4);
-        let among: Vec<usize> = (0..130).collect();
-        let queries: Vec<usize> = (0..130).step_by(7).collect();
-        let batch = top_k_batch(&data, &queries, &among, 9);
-        for (qi, &q) in queries.iter().enumerate() {
-            let reference = top_k_among_dot(&data, q, &among, 9);
-            assert_eq!(batch[qi].len(), reference.len(), "query {q}");
-            for (a, b) in batch[qi].iter().zip(&reference) {
-                assert_eq!(a.index, b.index, "query {q}");
-                assert_eq!(a.similarity.to_bits(), b.similarity.to_bits(), "query {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_batch_parallel_equals_serial() {
-        let data = gaussian(200, 12, 5);
-        let among: Vec<usize> = (0..200).collect();
-        let queries: Vec<usize> = (0..200).collect();
-        let par = top_k_batch(&data, &queries, &among, 5);
-        let ser = rayon::serial_scope(|| top_k_batch(&data, &queries, &among, 5));
-        assert_eq!(par.len(), ser.len());
-        for (a, b) in par.iter().zip(&ser) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn top_k_batch_handles_small_and_duplicate_cases() {
-        let data = gaussian(6, 8, 6);
-        // k larger than candidate count, query inside candidates.
-        let hits = top_k_batch(&data, &[0], &[0, 1, 2], 10);
-        assert_eq!(hits[0].len(), 2);
-        // Zero k.
-        assert!(top_k_batch(&data, &[1], &[0, 2], 0)[0].is_empty());
-        // Empty candidates.
-        assert!(top_k_batch(&data, &[1], &[], 3)[0].is_empty());
     }
 
     #[test]

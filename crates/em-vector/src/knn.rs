@@ -1,13 +1,15 @@
 //! Exact top-k nearest-neighbour search by cosine similarity.
 //!
-//! This is the workspace's FAISS `IndexFlatIP` stand-in (the paper runs
-//! its nearest-neighbour calculations with FAISS, §4.2). Exact search is
-//! affordable because the battleship algorithm only ever searches *within
-//! a cluster* (§3.3.1 motivates clustering precisely as a way to bound
-//! this cost), so the quadratic factor is the cluster size, not the pool
-//! size.
+//! [`top_k`] is a brute-force scan, the FAISS `IndexFlatIP` equivalent
+//! (the paper runs its nearest-neighbour calculations with FAISS, §4.2).
+//! The pipeline does not call it: in-cluster edges come from each
+//! cluster's Gram rows (`em_graph::build_graph_blocked`) and large
+//! clusters go through [`crate::hnsw`]. It stays as the exact oracle
+//! that HNSW recall is checked against.
 
 use std::cmp::Ordering;
+
+use em_core::{EmError, Result};
 
 use crate::embeddings::Embeddings;
 
@@ -15,9 +17,8 @@ use crate::embeddings::Embeddings;
 /// query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
-    /// Index of the neighbour (into whatever index space the search ran
-    /// over — global rows for [`top_k`], the provided subset values for
-    /// [`top_k_among`]).
+    /// Index of the neighbour (a row of the searched matrix for
+    /// [`top_k`], an insertion index for [`crate::Hnsw`]).
     pub index: usize,
     /// Cosine similarity to the query, in `[-1, 1]`.
     pub similarity: f32,
@@ -41,24 +42,22 @@ impl Neighbor {
 
 /// Keep the best `k` of a stream of candidates (small `k`, linear scan).
 ///
-/// For the `k ≈ 15` neighbourhood sizes used by graph construction, a
-/// simple sorted buffer beats a `BinaryHeap` on both speed and
-/// determinism. Shared with the blocked [`crate::kernel`] layer, which
-/// must reproduce this exact selection.
-pub(crate) struct TopBuffer {
+/// For small `k`, a sorted buffer beats a `BinaryHeap` on both speed
+/// and determinism.
+struct TopBuffer {
     k: usize,
     items: Vec<Neighbor>,
 }
 
 impl TopBuffer {
-    pub(crate) fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         TopBuffer {
             k,
             items: Vec::with_capacity(k + 1),
         }
     }
 
-    pub(crate) fn offer(&mut self, n: Neighbor) {
+    fn offer(&mut self, n: Neighbor) {
         if self.k == 0 {
             return;
         }
@@ -77,7 +76,7 @@ impl TopBuffer {
         self.items.insert(pos, n);
     }
 
-    pub(crate) fn into_sorted(self) -> Vec<Neighbor> {
+    fn into_sorted(self) -> Vec<Neighbor> {
         self.items
     }
 }
@@ -85,8 +84,21 @@ impl TopBuffer {
 /// Exact top-`k` cosine neighbours of `query` among all rows of `data`.
 ///
 /// `exclude` (typically the query's own row) is skipped. Results are
-/// sorted by descending similarity with index tiebreak.
-pub fn top_k(data: &Embeddings, query: &[f32], k: usize, exclude: Option<usize>) -> Vec<Neighbor> {
+/// sorted by descending similarity with index tiebreak. A query whose
+/// length is not `data.dim()` is an [`EmError::DimensionMismatch`].
+pub fn top_k(
+    data: &Embeddings,
+    query: &[f32],
+    k: usize,
+    exclude: Option<usize>,
+) -> Result<Vec<Neighbor>> {
+    if query.len() != data.dim() {
+        return Err(EmError::DimensionMismatch {
+            context: "exact top-k query".into(),
+            expected: data.dim(),
+            actual: query.len(),
+        });
+    }
     let mut buf = TopBuffer::new(k);
     for i in 0..data.len() {
         if exclude == Some(i) {
@@ -97,51 +109,7 @@ pub fn top_k(data: &Embeddings, query: &[f32], k: usize, exclude: Option<usize>)
             similarity: crate::embeddings::cosine(query, data.row(i)),
         });
     }
-    buf.into_sorted()
-}
-
-/// Exact top-`k` cosine neighbours of row `query_row` among the candidate
-/// rows `among` (global row indices), skipping the query itself.
-///
-/// This is the in-cluster search used by pair-graph edge creation
-/// (§3.3.2): "our algorithm allows comparisons only for samples that
-/// reside in the same cluster". Returned indices are *global* row
-/// indices.
-pub fn top_k_among(
-    data: &Embeddings,
-    query_row: usize,
-    among: &[usize],
-    k: usize,
-) -> Vec<Neighbor> {
-    let q = data.row(query_row);
-    let mut buf = TopBuffer::new(k);
-    for &i in among {
-        if i == query_row {
-            continue;
-        }
-        buf.offer(Neighbor {
-            index: i,
-            similarity: crate::embeddings::cosine(q, data.row(i)),
-        });
-    }
-    buf.into_sorted()
-}
-
-/// All pairwise cosine similarities among `among` (global row indices),
-/// returned as `(position_a, position_b, similarity)` with
-/// `position_a < position_b` being positions *within `among`*.
-///
-/// Used by the edge-creation second stage, which ranks every remaining
-/// in-cluster pair by similarity (§3.3.2).
-pub fn pairwise_among(data: &Embeddings, among: &[usize]) -> Vec<(usize, usize, f32)> {
-    let m = among.len();
-    let mut out = Vec::with_capacity(m.saturating_sub(1) * m / 2);
-    for a in 0..m {
-        for b in a + 1..m {
-            out.push((a, b, data.cosine(among[a], among[b])));
-        }
-    }
-    out
+    Ok(buf.into_sorted())
 }
 
 #[cfg(test)]
@@ -163,7 +131,7 @@ mod tests {
     #[test]
     fn top_k_orders_by_similarity() {
         let e = toy();
-        let hits = top_k(&e, e.row(0), 3, Some(0));
+        let hits = top_k(&e, e.row(0), 3, Some(0)).unwrap();
         assert_eq!(hits.len(), 3);
         assert_eq!(hits[0].index, 1);
         assert_eq!(hits[1].index, 4);
@@ -175,39 +143,36 @@ mod tests {
     #[test]
     fn top_k_zero_k_is_empty() {
         let e = toy();
-        assert!(top_k(&e, e.row(0), 0, None).is_empty());
+        assert!(top_k(&e, e.row(0), 0, None).unwrap().is_empty());
     }
 
     #[test]
     fn top_k_k_larger_than_data() {
         let e = toy();
-        let hits = top_k(&e, e.row(0), 100, Some(0));
+        let hits = top_k(&e, e.row(0), 100, Some(0)).unwrap();
         assert_eq!(hits.len(), 4);
     }
 
     #[test]
-    fn top_k_among_restricts_candidates() {
+    fn top_k_rejects_a_query_of_the_wrong_length() {
         let e = toy();
-        // Only rows 2 and 3 are candidates; row 1 (globally closest) must
-        // not appear.
-        let hits = top_k_among(&e, 0, &[2, 3], 2);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].index, 2);
-        assert_eq!(hits[1].index, 3);
-    }
-
-    #[test]
-    fn top_k_among_skips_self() {
-        let e = toy();
-        let hits = top_k_among(&e, 0, &[0, 1], 5);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].index, 1);
+        for query in [&[1.0f32][..], &[1.0, 0.0, 0.0]] {
+            match top_k(&e, query, 2, None) {
+                Err(EmError::DimensionMismatch {
+                    expected, actual, ..
+                }) => {
+                    assert_eq!(expected, 2);
+                    assert_eq!(actual, query.len());
+                }
+                other => panic!("expected a dimension mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn ties_break_by_smaller_index() {
         let e = Embeddings::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let hits = top_k(&e, e.row(0), 1, Some(0));
+        let hits = top_k(&e, e.row(0), 1, Some(0)).unwrap();
         assert_eq!(hits[0].index, 1);
     }
 
@@ -219,7 +184,7 @@ mod tests {
             .collect();
         let e = Embeddings::from_rows(&rows).unwrap();
         for q in 0..10 {
-            let fast = top_k(&e, e.row(q), 7, Some(q));
+            let fast = top_k(&e, e.row(q), 7, Some(q)).unwrap();
             // Naive: sort all.
             let mut all: Vec<Neighbor> = (0..e.len())
                 .filter(|&i| i != q)
@@ -237,19 +202,6 @@ mod tests {
             let slow: Vec<usize> = all[..7].iter().map(|n| n.index).collect();
             let fast_idx: Vec<usize> = fast.iter().map(|n| n.index).collect();
             assert_eq!(fast_idx, slow, "query {q}");
-        }
-    }
-
-    #[test]
-    fn pairwise_among_counts_and_symmetry() {
-        let e = toy();
-        let among = [0, 1, 4];
-        let pw = pairwise_among(&e, &among);
-        assert_eq!(pw.len(), 3);
-        for &(a, b, s) in &pw {
-            assert!(a < b);
-            let expected = e.cosine(among[a], among[b]);
-            assert!((s - expected).abs() < 1e-6);
         }
     }
 }

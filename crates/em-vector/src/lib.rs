@@ -11,12 +11,12 @@
 //! * [`Embeddings`] — a row-major matrix of `f32` vectors with the basic
 //!   linear-algebra kernels (dot, norm, cosine),
 //! * [`knn`] — exact top-k cosine search (the FAISS `IndexFlatIP`
-//!   equivalent), including restricted search over an index subset as
-//!   needed for in-cluster neighbour queries,
+//!   equivalent), the oracle that HNSW recall is checked against,
 //! * [`kernel`] — the blocked compute kernels behind the spatial
 //!   pipeline and the matcher's GEMM engine: cache-tiled Gram matrices
-//!   and `A·Bᵀ` products (with fused bias+ReLU), batched top-k and
-//!   unrolled squared distances, parallelized with rayon and
+//!   (in-cluster neighbours are read off a cluster's Gram rows) and
+//!   `A·Bᵀ` products (with fused bias+ReLU), and unrolled squared
+//!   distances, parallelized with rayon and
 //!   runtime-dispatched to AVX2 where available (bit-identical across
 //!   tiers — see the module docs),
 //! * [`elementwise`] — the matcher's training loops (the AdamW update,
@@ -55,10 +55,10 @@ pub use elementwise::{AdamWScalars, Elementwise};
 pub use embeddings::{cosine, dot, norm, normalize, Embeddings};
 pub use hnsw::{Hnsw, HnswConfig, HnswScratch};
 pub use kernel::{
-    gemm, gemm_bias_relu, gram_block, gram_packed, pack_rows, simd_tier, sq_dist, sq_dist_batch,
-    sq_dist_with_tier, top_k_batch, transpose, ulp_diff, with_simd_tier, SimdTier,
+    gemm, gemm_bias_relu, gram_packed, pack_rows, simd_tier, sq_dist, sq_dist_batch,
+    sq_dist_with_tier, transpose, ulp_diff, with_simd_tier, SimdTier,
 };
-pub use knn::{top_k, top_k_among, Neighbor};
+pub use knn::{top_k, Neighbor};
 pub use lsh::{sample_planes, signature_of, signatures, MAX_SIGNATURE_BITS};
 pub use pca::Pca;
 pub use policy::{AnnPolicy, DEFAULT_ANN_THRESHOLD};

@@ -5,27 +5,20 @@
 //! without losing a session, and random store op sequences agree with
 //! a sequential model of the sessions.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use battleship_em::al::ExperimentConfig;
 use battleship_em::api::{
     ArtifactCache, DatasetArtifacts, Fault, FaultPlan, FaultyBackend, Label, MatchSession,
-    MemoryBackend, PairIdx, RetryPolicy, RunReport, Scenario, SessionConfig, SessionPhase,
-    SessionSnapshot, SessionStatus, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
+    MemoryBackend, PairIdx, RetryPolicy, SessionConfig, SessionPhase, SessionSnapshot,
+    SessionStatus, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
 use battleship_em::core::EmError;
+use common::{drive_stored, scenario};
 use proptest::prelude::*;
-
-/// The shared scenario (tiny, so each session finishes in well under a
-/// second).
-fn scenario() -> Scenario {
-    Scenario::synthetic_scaled(
-        battleship_em::synth::DatasetProfile::amazon_google(),
-        0.04,
-        5,
-    )
-}
 
 fn quick_config(strategy: StrategySpec, seed: u64) -> SessionConfig {
     let mut experiment = ExperimentConfig::low_resource(1, 10);
@@ -69,36 +62,6 @@ fn good_frame() -> &'static Vec<u8> {
             .encode(&session.snapshot().unwrap())
             .unwrap()
     })
-}
-
-/// Drive one stored session to completion, answering from ground truth.
-fn drive_stored(store: &SessionStore, id: &str) {
-    loop {
-        match store.get(id).unwrap().phase {
-            SessionPhase::AwaitingLabels => {
-                let batch = store.next_query_batch(id).unwrap();
-                let artifacts = store.artifacts(id).unwrap();
-                let answers: Vec<(PairIdx, Label)> = batch
-                    .iter()
-                    .map(|&p| (p, artifacts.dataset.ground_truth(p)))
-                    .collect();
-                store.submit_labels(id, &answers).unwrap();
-            }
-            SessionPhase::Done => break,
-            SessionPhase::SeedDraw | SessionPhase::Training => {
-                store.advance(id).unwrap();
-            }
-        }
-    }
-}
-
-/// Zero a report's wall-clock fields for equality comparison.
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
 }
 
 /// Split proptest-drawn byte values into `n` (possibly empty) frames.
@@ -542,8 +505,8 @@ fn run_store_model(fault_seed: u64, ops: &[ModelOp]) {
                     known.map(|m| m.session.next_query_batch())
                 });
                 let known = model.get(id).ok_or_else(|| unknown(id));
-                agree("report", store.report(id).map(strip), || {
-                    known.map(|m| strip(m.session.report()))
+                agree("report", store.report(id).map(|r| r.canonical()), || {
+                    known.map(|m| m.session.report().canonical())
                 });
             }
         }
@@ -573,8 +536,8 @@ fn run_store_model(fault_seed: u64, ops: &[ModelOp]) {
             }
         }
         assert_eq!(
-            strip(past_faults(|| store.report(id)).unwrap()),
-            strip(m.session.report()),
+            past_faults(|| store.report(id)).unwrap().canonical(),
+            m.session.report().canonical(),
             "`{id}` finished with a different report"
         );
     }

@@ -4,28 +4,20 @@
 //! must never lose in-flight labels, and corrupt frames must always
 //! decode to structured errors.
 
+mod common;
+
 use std::sync::{Arc, OnceLock};
 
 use battleship_em::al::ExperimentConfig;
 use battleship_em::api::{
-    DirBackend, Label, MatchSession, MemoryBackend, PairIdx, RunReport, Scenario, SessionConfig,
+    DirBackend, Label, MatchSession, MemoryBackend, PairIdx, RunReport, SessionConfig,
     SessionPhase, SessionSnapshot, SessionStore, SnapshotBackend, SnapshotCodec, StrategySpec,
 };
 use battleship_em::core::codec::{fnv1a64, frame_checksum, write_frame, ByteWriter};
 use battleship_em::core::{EmError, RngState};
 use battleship_em::matcher::MatcherSnapshot;
+use common::{drive_stored, scenario};
 use proptest::prelude::*;
-
-/// The shared scenario every test materializes through its store's
-/// artifact cache (tiny, so each session finishes in well under a
-/// second).
-fn scenario() -> Scenario {
-    Scenario::synthetic_scaled(
-        battleship_em::synth::DatasetProfile::amazon_google(),
-        0.04,
-        5,
-    )
-}
 
 fn quick_config(strategy: StrategySpec, seed: u64) -> SessionConfig {
     let mut experiment = ExperimentConfig::low_resource(2, 16);
@@ -36,38 +28,6 @@ fn quick_config(strategy: StrategySpec, seed: u64) -> SessionConfig {
         experiment,
         strategy,
         seed,
-    }
-}
-
-/// Zero the wall-clock fields (the only legitimately run-dependent
-/// content of a report).
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
-}
-
-/// Drive one stored session to completion through the store API,
-/// answering batches from ground truth.
-fn drive_stored(store: &SessionStore, id: &str) {
-    loop {
-        match store.get(id).unwrap().phase {
-            SessionPhase::AwaitingLabels => {
-                let batch = store.next_query_batch(id).unwrap();
-                let artifacts = store.artifacts(id).unwrap();
-                let answers: Vec<(PairIdx, Label)> = batch
-                    .iter()
-                    .map(|&p| (p, artifacts.dataset.ground_truth(p)))
-                    .collect();
-                store.submit_labels(id, &answers).unwrap();
-            }
-            SessionPhase::Done => break,
-            SessionPhase::SeedDraw | SessionPhase::Training => {
-                store.advance(id).unwrap();
-            }
-        }
     }
 }
 
@@ -142,8 +102,8 @@ fn json_then_binary_restore_is_bit_identical_for_every_strategy() {
         }
         assert!(interrupted_batches >= 2, "protocol too short for {spec:?}");
         assert_eq!(
-            strip(session.into_report()),
-            strip(uninterrupted),
+            session.into_report().canonical(),
+            uninterrupted.canonical(),
             "codec chain diverged from the uninterrupted run for {spec:?}"
         );
     }
@@ -207,8 +167,8 @@ fn store_crash_recovery_reproduces_every_report() {
         );
         drive_stored(&store, id);
         assert_eq!(
-            strip(store.report(id).unwrap()),
-            strip(reference_report(*spec, *seed)),
+            store.report(id).unwrap().canonical(),
+            reference_report(*spec, *seed).canonical(),
             "recovered `{id}` diverged from the uninterrupted run"
         );
     }
@@ -257,8 +217,8 @@ fn evict_of_in_flight_session_checkpoints_first() {
     assert_eq!(store.get("live").unwrap().labels_used, labels_before);
     drive_stored(&store, "live");
     assert_eq!(
-        strip(store.report("live").unwrap()),
-        strip(reference_report(StrategySpec::Dal, 31)),
+        store.report("live").unwrap().canonical(),
+        reference_report(StrategySpec::Dal, 31).canonical(),
         "evict→reload→finish diverged from the uninterrupted run"
     );
 }
@@ -303,11 +263,11 @@ fn step_ready_sessions_matches_serial_stepping() {
         } else {
             drive();
         }
-        ids.iter().map(|id| store.report(id).unwrap()).collect()
+        ids.iter()
+            .map(|id| store.report(id).unwrap().canonical())
+            .collect::<Vec<_>>()
     };
-    let parallel: Vec<RunReport> = run(false).into_iter().map(strip).collect();
-    let serial: Vec<RunReport> = run(true).into_iter().map(strip).collect();
-    assert_eq!(parallel, serial);
+    assert_eq!(run(false), run(true));
 }
 
 /// A mid-run snapshot with every optional field populated, shared by

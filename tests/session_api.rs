@@ -39,16 +39,6 @@ fn task() -> &'static (Dataset, Embeddings) {
     })
 }
 
-/// Zero the wall-clock fields (the only legitimately run-dependent
-/// content of a report).
-fn strip(mut r: RunReport) -> RunReport {
-    for it in &mut r.iterations {
-        it.train_secs = 0.0;
-        it.select_secs = 0.0;
-    }
-    r
-}
-
 /// Serialize the session to a JSON checkpoint and rebuild it — the full
 /// persistence path a server would exercise.
 fn json_roundtrip<'a>(
@@ -134,8 +124,8 @@ fn session_driver_matches_closed_loop_for_every_strategy() {
         )
         .unwrap();
         assert_eq!(
-            strip(closed),
-            strip(session),
+            closed.canonical(),
+            session.canonical(),
             "session diverged from the closed loop for `{}`",
             spec.name()
         );
@@ -158,25 +148,13 @@ fn battleship_snapshot_at_every_batch_reproduces_run() {
         strategy: StrategySpec::Battleship,
         seed: 9,
     };
-    let uninterrupted = strip(drive_interrupted(
-        d,
-        feats,
-        config.clone(),
-        None,
-        false,
-        false,
-    ));
+    let uninterrupted = drive_interrupted(d, feats, config.clone(), None, false, false).canonical();
     // seed batch + 2 iteration batches = 3 interruption points.
     for batch in 0..3 {
         for after_submit in [false, true] {
-            let interrupted = strip(drive_interrupted(
-                d,
-                feats,
-                config.clone(),
-                Some(batch),
-                false,
-                after_submit,
-            ));
+            let interrupted =
+                drive_interrupted(d, feats, config.clone(), Some(batch), false, after_submit)
+                    .canonical();
             assert_eq!(
                 uninterrupted, interrupted,
                 "restore at batch {batch} (after_submit={after_submit}) diverged"
@@ -241,7 +219,7 @@ fn battleship_session_is_thread_count_invariant() {
                 _ => {}
             }
         }
-        let report = strip(session.into_report());
+        let report = session.into_report().canonical();
         (batches, report, strategy.sides)
     }
 
@@ -272,22 +250,8 @@ fn partial_batch_survives_checkpoint() {
         strategy: StrategySpec::Random,
         seed: 4,
     };
-    let uninterrupted = strip(drive_interrupted(
-        d,
-        feats,
-        config.clone(),
-        None,
-        false,
-        false,
-    ));
-    let interrupted = strip(drive_interrupted(
-        d,
-        feats,
-        config.clone(),
-        Some(1),
-        true,
-        false,
-    ));
+    let uninterrupted = drive_interrupted(d, feats, config.clone(), None, false, false).canonical();
+    let interrupted = drive_interrupted(d, feats, config.clone(), Some(1), true, false).canonical();
     assert_eq!(uninterrupted, interrupted);
 }
 
@@ -306,12 +270,11 @@ fn legacy_json_snapshot_with_membership_restores() {
         strategy: StrategySpec::Battleship,
         seed: 9,
     };
-    let uninterrupted = strip(
-        MatchSession::new(d, feats, config.clone())
-            .unwrap()
-            .drive(&PerfectOracle::new())
-            .unwrap(),
-    );
+    let uninterrupted = MatchSession::new(d, feats, config.clone())
+        .unwrap()
+        .drive(&PerfectOracle::new())
+        .unwrap()
+        .canonical();
 
     // Stop mid-run: the first selected batch out, half of it labeled.
     let oracle = PerfectOracle::new();
@@ -364,7 +327,7 @@ fn legacy_json_snapshot_with_membership_restores() {
     let back: SessionSnapshot = serde_json::from_str(&legacy).unwrap();
     assert_eq!(back, snapshot);
     let mut restored = MatchSession::restore(d, feats, &back).unwrap();
-    let report = strip(restored.drive(&oracle).unwrap());
+    let report = restored.drive(&oracle).unwrap().canonical();
     assert_eq!(report, uninterrupted, "legacy snapshot diverged");
 }
 
@@ -603,15 +566,15 @@ proptest! {
         };
         // `partial` only applies before submission.
         let partial = partial && !after_submit;
-        let uninterrupted = strip(drive_interrupted(d, feats, config.clone(), None, false, false));
-        let interrupted = strip(drive_interrupted(
+        let uninterrupted = drive_interrupted(d, feats, config.clone(), None, false, false).canonical();
+        let interrupted = drive_interrupted(
             d,
             feats,
             config,
             Some(batch),
             partial,
             after_submit,
-        ));
+        ).canonical();
         prop_assert_eq!(uninterrupted, interrupted);
     }
 }
