@@ -54,4 +54,7 @@ pub use pair::{CandidatePair, Label, PairIdx, Prediction};
 pub use record::{Record, RecordId, Schema, Table};
 pub use rng::{Rng, RngState};
 pub use serialize::{serialize_pair, serialize_record};
-pub use tokenize::{char_ngrams, jaccard, overlap_coefficient, tokenize, TokenSet};
+pub use tokenize::{
+    char_ngrams, jaccard, jaccard_from_sizes, overlap_coefficient, overlap_from_sizes, tokenize,
+    TokenSet,
+};

@@ -153,15 +153,20 @@ impl TokenSet {
 ///
 /// Both-empty inputs are defined to be identical (similarity 1).
 pub fn jaccard(a: &TokenSet, b: &TokenSet) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    jaccard_from_sizes(a.intersection_size(b), a.total(), b.total())
+}
+
+/// [`jaccard`] from multiset sizes: `inter = |A ∩ B|`, `a_total = |A|`,
+/// `b_total = |B|` (for callers that count the intersection themselves).
+pub fn jaccard_from_sizes(inter: u32, a_total: u32, b_total: u32) -> f64 {
+    if a_total == 0 && b_total == 0 {
         return 1.0;
     }
-    let inter = a.intersection_size(b) as f64;
-    let union = a.union_size(b) as f64;
+    let union = (a_total + b_total - inter) as f64;
     if union == 0.0 {
         1.0
     } else {
-        inter / union
+        inter as f64 / union
     }
 }
 
@@ -170,14 +175,19 @@ pub fn jaccard(a: &TokenSet, b: &TokenSet) -> f64 {
 /// More forgiving than Jaccard when one side is much longer (e.g. the
 /// ABT-Buy long-text attribute vs a short title).
 pub fn overlap_coefficient(a: &TokenSet, b: &TokenSet) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    overlap_from_sizes(a.intersection_size(b), a.total(), b.total())
+}
+
+/// [`overlap_coefficient`] from multiset sizes, as in
+/// [`jaccard_from_sizes`].
+pub fn overlap_from_sizes(inter: u32, a_total: u32, b_total: u32) -> f64 {
+    if a_total == 0 && b_total == 0 {
         return 1.0;
     }
-    if a.is_empty() || b.is_empty() {
+    if a_total == 0 || b_total == 0 {
         return 0.0;
     }
-    let inter = a.intersection_size(b) as f64;
-    inter / (a.total().min(b.total()) as f64)
+    inter as f64 / (a_total.min(b_total) as f64)
 }
 
 #[cfg(test)]

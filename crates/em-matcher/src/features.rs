@@ -1,30 +1,71 @@
 //! Pair featurization: signed feature hashing over the DITTO
-//! serialization plus per-attribute similarity features.
+//! serialization plus binned overlap channels and, for ablations, a
+//! dense per-attribute similarity block.
 //!
-//! Features are a pure function of the record text, independent of the
-//! model, so the battleship runner featurizes each dataset exactly once
-//! and reuses the matrix across all iterations, strategies and seeds.
+//! Features are a pure function of the record text (§4.2), independent
+//! of the model, so the battleship runner featurizes each dataset exactly
+//! once and reuses the matrix across all iterations, strategies and
+//! seeds.
 //!
 //! Layout of one feature vector:
 //!
 //! ```text
-//! [ 0 .. n_buckets )   signed hashed token features, three namespaces:
-//!                      tokens in both records ("I:"), left only ("L:"),
-//!                      right only ("R:"), count-weighted and
-//!                      L2-normalized
-//! [ n_buckets .. )     dense similarity block: per-attribute token
-//!                      jaccard, char-trigram jaccard, overlap
-//!                      coefficient, equality flag, both-missing flag,
-//!                      numeric agreement; then whole-record jaccard,
-//!                      trigram jaccard, overlap and length ratio
+//! [ 0 .. n_buckets )    signed hashed token features, three namespaces:
+//!                       tokens in both records ("I:"), left only ("L:"),
+//!                       right only ("R:"), count-weighted and
+//!                       L2-normalized
+//! [ n_buckets .. +5·bins )
+//!                       one-hot binned overlap channels: word jaccard,
+//!                       char n-gram jaccard, overlap coefficient,
+//!                       numeric agreement, IDF-weighted jaccard
+//! [ .. dim )            only with `include_sim_block`: the dense
+//!                       similarity block of `similarity_vector`
 //! ```
+//!
+//! # Records once, pairs across the pool
+//!
+//! Each record sits in about two candidate pairs, so
+//! [`Featurizer::featurize_all`] represents each record once and then
+//! compares pairs, in three passes:
+//!
+//! 1. **Records**, across the pool: one view per record, built from one
+//!    `full_text` — its word-token counts, its char n-grams as sorted
+//!    windows into its padded characters, and its attribute values parsed
+//!    as numbers.
+//! 2. **Tokens**, once each: the dataset's distinct tokens sorted into a
+//!    vocabulary whose id order is string order. Each token's bucket and
+//!    sign in the three namespaces and its IDF weight are computed once,
+//!    and each record keeps its tokens as `(id, count)` runs in id order.
+//! 3. **Pairs**, across the pool: merge walks over two records' runs,
+//!    each written into its row of one `n × dim` buffer allocated at its
+//!    exact size. The views are dropped before the matrix is returned.
+//!
+//! [`Featurizer::featurize`] runs the same passes over one pair's two
+//! records, so one kernel computes every row.
+//!
+//! The features are bit-identical to a per-pair featurization over
+//! string-keyed token sets, because the walks keep every floating-point
+//! accumulation in that order (integer counts are order-free):
+//!
+//! * a bucket's `+=` sequence is the left tokens' bumps in string order
+//!   (each token's `I:` before its `L:`), then the `R:` bumps of the right
+//!   tokens whose count exceeds the left's, in string order;
+//! * the IDF-weighted jaccard's `union` sums all left tokens first, then
+//!   the right-only ones (one interleaved merge would move bits);
+//! * a token the featurizer's corpus never saw weighs 12.0 (rare by
+//!   definition), so `featurize` works on a dataset [`Featurizer::new`]
+//!   never saw;
+//! * a text shorter than the n-gram size is one n-gram, itself.
 
 use em_core::codec::fnv1a64;
 use em_core::{
-    char_ngrams, jaccard, overlap_coefficient, tokenize, Dataset, EmError, PairIdx, Result,
-    TokenSet,
+    char_ngrams, jaccard, jaccard_from_sizes, overlap_coefficient, overlap_from_sizes, tokenize,
+    Dataset, EmError, PairIdx, Record, Result, TokenSet,
 };
 use em_vector::Embeddings;
+use rayon::prelude::*;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Dense similarity features per attribute.
 const PER_ATTR_FEATURES: usize = 6;
@@ -75,6 +116,14 @@ impl Default for FeatureConfig {
 /// coefficient, numeric agreement, IDF-weighted jaccard.
 const OVERLAP_CHANNELS: usize = 5;
 
+/// IDF weight of a token outside the featurizer's corpus: high, since
+/// such a token is rare by definition.
+const UNSEEN_IDF: f64 = 12.0;
+
+/// Hash namespaces of the token block: in both records, left only,
+/// right only.
+const NAMESPACES: [&str; 3] = ["I:", "L:", "R:"];
+
 /// Featurizes candidate pairs of one dataset.
 #[derive(Debug, Clone)]
 pub struct Featurizer {
@@ -84,7 +133,121 @@ pub struct Featurizer {
     /// IDF-weighted overlap channel (rare shared tokens — model numbers,
     /// exact titles — are the strongest match evidence; siblings share
     /// only frequent brand/category tokens).
-    idf: std::collections::HashMap<String, f64>,
+    idf: HashMap<String, f64>,
+}
+
+/// A vocabulary token's hashing and weight, computed once per dataset.
+struct Term {
+    /// `(bucket, sign)` in the `I:`, `L:` and `R:` namespaces.
+    slots: [(u32, f32); 3],
+    /// IDF weight, [`UNSEEN_IDF`] outside the featurizer's corpus.
+    idf: f64,
+}
+
+/// A record's char n-grams: the distinct windows of its padded
+/// characters, sorted by content, with their counts.
+struct Grams {
+    /// `#`, the lower-cased non-whitespace characters, `#`.
+    chars: Vec<char>,
+    /// Window length: n, or the whole padded text when that is shorter.
+    len: usize,
+    /// `(window start, count)` per distinct n-gram, in n-gram order.
+    runs: Vec<(u32, u32)>,
+    /// Number of windows.
+    total: u32,
+}
+
+impl Grams {
+    /// The n-grams of `text`, as [`char_ngrams`] cuts them.
+    fn new(text: &str, n: usize) -> Self {
+        let chars: Vec<char> = std::iter::once('#')
+            .chain(text.to_lowercase().chars().filter(|c| !c.is_whitespace()))
+            .chain(std::iter::once('#'))
+            .collect();
+        let len = n.min(chars.len());
+        let total = (chars.len() - len + 1) as u32;
+        let window = |s: &u32| &chars[*s as usize..][..len];
+        let mut starts: Vec<u32> = (0..total).collect();
+        starts.sort_unstable_by(|a, b| window(a).cmp(window(b)));
+        let runs = count_runs(starts, |a, b| window(a) == window(b));
+        Grams {
+            chars,
+            len,
+            runs,
+            total,
+        }
+    }
+
+    /// The text of distinct n-gram `i`.
+    fn gram(&self, i: usize) -> &[char] {
+        &self.chars[self.runs[i].0 as usize..][..self.len]
+    }
+
+    /// Size of the multiset intersection with `other`.
+    fn intersection_size(&self, other: &Grams) -> u32 {
+        let (mut i, mut j, mut inter) = (0, 0, 0);
+        while i < self.runs.len() && j < other.runs.len() {
+            match self.gram(i).cmp(other.gram(j)) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    inter += self.runs[i].1.min(other.runs[j].1);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        inter
+    }
+}
+
+/// A record before its tokens have vocabulary ids (pass 1).
+struct RawView {
+    /// Distinct word tokens in string order, with their counts.
+    tokens: Vec<(String, u32)>,
+    grams: Grams,
+    /// Each attribute value parsed as a number.
+    numbers: Vec<Option<f64>>,
+}
+
+/// A record as the pair kernel reads it (pass 2).
+struct RecordView {
+    /// `(vocabulary id, count)` runs in id (= string) order.
+    tokens: Vec<(u32, u32)>,
+    /// Number of word tokens, repeats included.
+    n_tokens: u32,
+    grams: Grams,
+    numbers: Vec<Option<f64>>,
+}
+
+/// The left table's records, then the right table's.
+fn all_records(dataset: &Dataset) -> Vec<&Record> {
+    let (left, right) = (dataset.left.records(), dataset.right.records());
+    left.iter().chain(right).collect()
+}
+
+/// Collapse equal neighbours of a sorted sequence into `(item, count)`.
+fn count_runs<T>(sorted: Vec<T>, same: impl Fn(&T, &T) -> bool) -> Vec<(T, u32)> {
+    let mut runs: Vec<(T, u32)> = Vec::new();
+    for x in sorted {
+        match runs.last_mut() {
+            Some((y, c)) if same(y, &x) => *c += 1,
+            _ => runs.push((x, 1)),
+        }
+    }
+    runs
+}
+
+/// The count of `id` in `run`, moving `cursor` forward; successive calls
+/// must ask for increasing ids.
+fn count_of(run: &[(u32, u32)], cursor: &mut usize, id: u32) -> u32 {
+    while *cursor < run.len() && run[*cursor].0 < id {
+        *cursor += 1;
+    }
+    match run.get(*cursor) {
+        Some(&(i, c)) if i == id => c,
+        _ => 0,
+    }
 }
 
 impl Featurizer {
@@ -102,15 +265,22 @@ impl Featurizer {
         if config.overlap_bins < 2 {
             return Err(EmError::InvalidConfig("overlap_bins must be >= 2".into()));
         }
-        // Document frequencies over both tables.
-        let mut df: std::collections::HashMap<String, u32> = std::collections::HashMap::new();
-        let n_docs = dataset.left.len() + dataset.right.len();
-        for rec in dataset.left.records().iter().chain(dataset.right.records()) {
-            let tokens = TokenSet::from_text(&rec.full_text());
-            for (t, _) in tokens.iter() {
-                *df.entry(t.to_string()).or_insert(0) += 1;
-            }
+        // Document frequencies over both tables, tokenized across the pool.
+        let records = all_records(dataset);
+        let docs: Vec<Vec<String>> = records
+            .par_iter()
+            .map(|rec| {
+                let mut tokens = tokenize(&rec.full_text());
+                tokens.sort_unstable();
+                tokens.dedup();
+                tokens
+            })
+            .collect();
+        let mut df: HashMap<String, u32> = HashMap::new();
+        for t in docs.into_iter().flatten() {
+            *df.entry(t).or_insert(0) += 1;
         }
+        let n_docs = records.len();
         let idf = df
             .into_iter()
             .map(|(t, d)| (t, ((1.0 + n_docs as f64) / (1.0 + d as f64)).ln()))
@@ -122,40 +292,11 @@ impl Featurizer {
         })
     }
 
-    /// IDF-weighted Jaccard of two token sets (weights default to the
-    /// maximum IDF for out-of-corpus tokens, which are rare by
-    /// definition).
-    fn idf_jaccard(&self, a: &TokenSet, b: &TokenSet) -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        let max_idf = 12.0;
-        let weight = |t: &str| -> f64 { self.idf.get(t).copied().unwrap_or(max_idf) };
-        let mut inter = 0.0f64;
-        let mut union = 0.0f64;
-        for (t, ca) in a.iter() {
-            let cb = b.count(t);
-            let w = weight(t);
-            inter += w * ca.min(cb) as f64;
-            union += w * ca.max(cb) as f64;
-        }
-        for (t, cb) in b.iter() {
-            if a.count(t) == 0 {
-                union += weight(t) * cb as f64;
-            }
-        }
-        if union <= 0.0 {
-            1.0
-        } else {
-            inter / union
-        }
-    }
-
     /// Total feature dimension.
     pub fn dim(&self) -> usize {
         let base = self.config.n_buckets + OVERLAP_CHANNELS * self.config.overlap_bins;
         if self.config.include_sim_block {
-            base + self.n_attrs * PER_ATTR_FEATURES + GLOBAL_FEATURES
+            base + self.sim_dim()
         } else {
             base
         }
@@ -167,89 +308,219 @@ impl Featurizer {
         self.n_attrs * PER_ATTR_FEATURES + GLOBAL_FEATURES
     }
 
-    /// Featurize one pair.
+    /// Featurize one pair: the passes of [`Featurizer::featurize_all`]
+    /// over its two records.
     pub fn featurize(&self, dataset: &Dataset, idx: PairIdx) -> Result<Vec<f32>> {
         let (l, r) = dataset.pair_records(idx)?;
+        let (terms, views) = self.views(&[l, r]);
         let mut out = vec![0.0f32; self.dim()];
+        self.featurize_pair(&terms, (&views[0], l), (&views[1], r), &mut out);
+        Ok(out)
+    }
 
-        // --- Hashed token block. ----------------------------------------
-        let ltokens = tokenize(&l.full_text());
-        let rtokens = tokenize(&r.full_text());
-        let lset = TokenSet::from_tokens(ltokens.iter().cloned());
-        let rset = TokenSet::from_tokens(rtokens.iter().cloned());
-        for (t, lc) in lset.iter() {
-            let rc = rset.count(t);
-            let inter = lc.min(rc);
-            let lonly = lc - inter;
-            if inter > 0 {
-                self.bump(&mut out, "I:", t, inter as f32);
-            }
-            if lonly > 0 {
-                self.bump(&mut out, "L:", t, lonly as f32);
+    /// Featurize every pair of the dataset into one matrix, row `i` being
+    /// pair `i`: record views across the pool, the sorted vocabulary, then
+    /// the pairs across the pool into one buffer of exactly `n × dim`
+    /// floats (see the module docs for the passes and the orders they
+    /// keep). The output is bit-identical for any thread count.
+    pub fn featurize_all(&self, dataset: &Dataset) -> Result<Embeddings> {
+        // Resolve every pair first, so the parallel pass cannot fail.
+        for i in 0..dataset.len() {
+            dataset.pair_records(i)?;
+        }
+        let records = all_records(dataset);
+        let n_left = dataset.left.len();
+        let dim = self.dim();
+        let mut data = vec![0.0f32; dataset.len() * dim];
+        {
+            let (terms, views) = self.views(&records);
+            let rows: Vec<_> = dataset.pairs().iter().zip(data.chunks_mut(dim)).collect();
+            rows.into_par_iter().for_each(|(p, row)| {
+                let (l, r) = (p.left.index(), n_left + p.right.index());
+                self.featurize_pair(
+                    &terms,
+                    (&views[l], records[l]),
+                    (&views[r], records[r]),
+                    row,
+                );
+            });
+        }
+        Embeddings::from_flat(dim, data)
+    }
+
+    /// Passes 1 and 2: one view per record, and the vocabulary of their
+    /// tokens.
+    fn views(&self, records: &[&Record]) -> (Vec<Term>, Vec<RecordView>) {
+        let raws: Vec<RawView> = records.par_iter().map(|rec| self.raw_view(rec)).collect();
+        // Distinct tokens in string order; a token's id is its rank.
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        for raw in &raws {
+            for (t, _) in &raw.tokens {
+                ids.entry(t.as_str()).or_insert(0);
             }
         }
-        for (t, rc) in rset.iter() {
-            let ronly = rc - lset.count(t).min(rc);
-            if ronly > 0 {
-                self.bump(&mut out, "R:", t, ronly as f32);
+        let mut vocab: Vec<&str> = ids.keys().copied().collect();
+        vocab.sort_unstable();
+        for (id, t) in vocab.iter().enumerate() {
+            ids.insert(t, id as u32);
+        }
+        let terms: Vec<Term> = vocab.par_iter().map(|t| self.term(t)).collect();
+        let runs: Vec<Vec<(u32, u32)>> = raws
+            .par_iter()
+            .map(|raw| {
+                raw.tokens
+                    .iter()
+                    .map(|(t, c)| (ids[t.as_str()], *c))
+                    .collect()
+            })
+            .collect();
+        drop((vocab, ids));
+        let views = raws
+            .into_iter()
+            .zip(runs)
+            .map(|(raw, tokens)| RecordView {
+                n_tokens: tokens.iter().map(|&(_, c)| c).sum(),
+                tokens,
+                grams: raw.grams,
+                numbers: raw.numbers,
+            })
+            .collect();
+        (terms, views)
+    }
+
+    /// Pass 1 for one record.
+    fn raw_view(&self, rec: &Record) -> RawView {
+        let text = rec.full_text();
+        let mut tokens = tokenize(&text);
+        tokens.sort_unstable();
+        RawView {
+            tokens: count_runs(tokens, |a, b| a == b),
+            grams: Grams::new(&text, self.config.trigram_n),
+            numbers: rec.values.iter().map(|v| parse_number(v)).collect(),
+        }
+    }
+
+    /// Signed feature hashing of `token`: bucket by FNV-1a of
+    /// `namespace ++ token`, sign by bit 32 of the same hash.
+    fn term(&self, token: &str) -> Term {
+        let n_buckets = self.config.n_buckets as u64;
+        Term {
+            slots: NAMESPACES.map(|ns| {
+                let h = fnv1a64(ns.as_bytes().iter().chain(token.as_bytes()));
+                let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+                ((h % n_buckets) as u32, sign)
+            }),
+            idf: self.idf.get(token).copied().unwrap_or(UNSEEN_IDF),
+        }
+    }
+
+    /// Pass 3 for one pair: write its features into the zeroed `out`.
+    fn featurize_pair(
+        &self,
+        terms: &[Term],
+        (lv, l): (&RecordView, &Record),
+        (rv, r): (&RecordView, &Record),
+        out: &mut [f32],
+    ) {
+        let n_buckets = self.config.n_buckets;
+        let bump = |out: &mut [f32], (bucket, sign): (u32, f32), weight: u32| {
+            out[bucket as usize] += sign * weight as f32;
+        };
+
+        // --- Hashed token block and the token-overlap sums. -------------
+        // Left walk: each left token's `I:` then `L:` bump, and its share
+        // of the IDF-weighted intersection and union.
+        let mut inter = 0u32;
+        let (mut idf_inter, mut idf_union) = (0.0f64, 0.0f64);
+        let mut cursor = 0;
+        for &(id, lc) in &lv.tokens {
+            let rc = count_of(&rv.tokens, &mut cursor, id);
+            let term = &terms[id as usize];
+            let both = lc.min(rc);
+            if both > 0 {
+                bump(out, term.slots[0], both);
+            }
+            if lc > both {
+                bump(out, term.slots[1], lc - both);
+            }
+            inter += both;
+            idf_inter += term.idf * both as f64;
+            idf_union += term.idf * lc.max(rc) as f64;
+        }
+        // Right walk: the `R:` bumps of right counts above the left's, and
+        // the right-only tokens' share of the IDF-weighted union.
+        let mut cursor = 0;
+        for &(id, rc) in &rv.tokens {
+            let lc = count_of(&lv.tokens, &mut cursor, id);
+            let term = &terms[id as usize];
+            if rc > lc {
+                bump(out, term.slots[2], rc - lc);
+            }
+            if lc == 0 {
+                idf_union += term.idf * rc as f64;
             }
         }
         // L2-normalize the hashed block so text length does not dominate.
-        let norm: f32 = out[..self.config.n_buckets]
-            .iter()
-            .map(|x| x * x)
-            .sum::<f32>()
-            .sqrt();
+        let norm: f32 = out[..n_buckets].iter().map(|x| x * x).sum::<f32>().sqrt();
         if norm > 0.0 {
-            for x in &mut out[..self.config.n_buckets] {
+            for x in &mut out[..n_buckets] {
                 *x /= norm;
             }
         }
 
         // --- Binned overlap channels (one-hot). ---------------------------
-        let lf = l.full_text();
-        let rf = r.full_text();
-        let lg = TokenSet::from_tokens(char_ngrams(&lf, self.config.trigram_n));
-        let rg = TokenSet::from_tokens(char_ngrams(&rf, self.config.trigram_n));
-        let mut numeric_sum = 0.0f64;
-        let mut numeric_n = 0usize;
+        let (mut numeric_sum, mut numeric_n) = (0.0f64, 0usize);
         for a in 0..self.n_attrs {
-            let agreement = numeric_agreement(l.value(a).unwrap_or(""), r.value(a).unwrap_or(""));
+            let x = lv.numbers.get(a).copied().flatten();
+            let y = rv.numbers.get(a).copied().flatten();
+            let agreement = agreement(x, y);
             if agreement > 0.0 {
                 numeric_sum += agreement as f64;
                 numeric_n += 1;
             }
         }
+        let idf_jaccard = if (lv.n_tokens == 0 && rv.n_tokens == 0) || idf_union <= 0.0 {
+            1.0
+        } else {
+            idf_inter / idf_union
+        };
         let channels = [
-            jaccard(&lset, &rset),
-            jaccard(&lg, &rg),
-            overlap_coefficient(&lset, &rset),
+            jaccard_from_sizes(inter, lv.n_tokens, rv.n_tokens),
+            jaccard_from_sizes(
+                lv.grams.intersection_size(&rv.grams),
+                lv.grams.total,
+                rv.grams.total,
+            ),
+            overlap_from_sizes(inter, lv.n_tokens, rv.n_tokens),
             if numeric_n > 0 {
                 numeric_sum / numeric_n as f64
             } else {
                 0.0
             },
-            self.idf_jaccard(&lset, &rset),
+            idf_jaccard,
         ];
         let bins = self.config.overlap_bins;
         for (c, &value) in channels.iter().enumerate() {
             let bin = ((value * bins as f64) as usize).min(bins - 1);
-            out[self.config.n_buckets + c * bins + bin] = 1.0;
+            out[n_buckets + c * bins + bin] = 1.0;
         }
 
         // --- Dense similarity block (ablation only; see FeatureConfig). ---
         if self.config.include_sim_block {
-            let sims = self.similarity_vector(dataset, idx)?;
-            let offset = self.config.n_buckets + OVERLAP_CHANNELS * bins;
-            out[offset..].copy_from_slice(&sims);
+            let offset = n_buckets + OVERLAP_CHANNELS * bins;
+            out[offset..].copy_from_slice(&self.similarities(l, r));
         }
-        Ok(out)
     }
 
     /// The dense similarity feature vector of a pair (the model-agnostic
     /// representation ZeroER fits its mixture over).
     pub fn similarity_vector(&self, dataset: &Dataset, idx: PairIdx) -> Result<Vec<f32>> {
         let (l, r) = dataset.pair_records(idx)?;
+        Ok(self.similarities(l, r))
+    }
+
+    /// [`Featurizer::similarity_vector`] of two records.
+    fn similarities(&self, l: &Record, r: &Record) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.sim_dim());
         for a in 0..self.n_attrs {
             let lv = l.value(a).unwrap_or("");
@@ -285,16 +556,7 @@ impl Featurizer {
             1.0
         });
         debug_assert_eq!(out.len(), self.sim_dim());
-        Ok(out)
-    }
-
-    /// Featurize every pair of the dataset into one matrix.
-    pub fn featurize_all(&self, dataset: &Dataset) -> Result<Embeddings> {
-        let mut m = Embeddings::new(self.dim())?;
-        for i in 0..dataset.len() {
-            m.push(&self.featurize(dataset, i)?)?;
-        }
-        Ok(m)
+        out
     }
 
     /// Similarity vectors for every pair (for ZeroER).
@@ -305,21 +567,17 @@ impl Featurizer {
         }
         Ok(m)
     }
-
-    /// Signed feature hashing: bucket by FNV-1a, sign by a second hash.
-    fn bump(&self, out: &mut [f32], namespace: &str, token: &str, weight: f32) {
-        let h = fnv1a64(namespace.as_bytes().iter().chain(token.as_bytes()));
-        let bucket = (h % self.config.n_buckets as u64) as usize;
-        let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
-        out[bucket] += sign * weight;
-    }
 }
 
-/// 1 − relative difference for numeric-looking values; 0 when either side
-/// is non-numeric or missing.
-fn numeric_agreement(a: &str, b: &str) -> f32 {
-    match (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
-        (Ok(x), Ok(y)) => {
+/// A value read as a number, surrounding whitespace ignored.
+fn parse_number(value: &str) -> Option<f64> {
+    value.trim().parse().ok()
+}
+
+/// 1 − relative difference of two numbers; 0 when either is missing.
+fn agreement(x: Option<f64>, y: Option<f64>) -> f32 {
+    match (x, y) {
+        (Some(x), Some(y)) => {
             let denom = x.abs().max(y.abs());
             if denom == 0.0 {
                 1.0
@@ -329,6 +587,12 @@ fn numeric_agreement(a: &str, b: &str) -> f32 {
         }
         _ => 0.0,
     }
+}
+
+/// [`agreement`] of two values that may be numeric; 0 when either side
+/// is non-numeric or missing.
+fn numeric_agreement(a: &str, b: &str) -> f32 {
+    agreement(parse_number(a), parse_number(b))
 }
 
 #[cfg(test)]
@@ -489,5 +753,143 @@ mod tests {
         let d = dataset();
         let f = Featurizer::new(&d, FeatureConfig::default()).unwrap();
         assert_eq!(f.featurize(&d, 5).unwrap(), f.featurize(&d, 5).unwrap());
+    }
+
+    /// FNV-1a over the little-endian bits of every entry, row by row.
+    fn digest(m: &Embeddings) -> u64 {
+        let bytes: Vec<u8> = m.flat().iter().flat_map(|x| x.to_le_bytes()).collect();
+        fnv1a64(&bytes)
+    }
+
+    /// `featurize_all` must equal `featurize` row by row, on the pool and
+    /// under `serial_scope`; returns the pool's matrix.
+    fn featurize_all_checked(f: &Featurizer, d: &Dataset) -> Embeddings {
+        let m = f.featurize_all(d).unwrap();
+        assert_eq!(m.len(), d.len());
+        assert_eq!(m.dim(), f.dim());
+        let serial = rayon::serial_scope(|| f.featurize_all(d).unwrap());
+        assert_eq!(m.flat().len(), serial.flat().len());
+        for (a, b) in m.flat().iter().zip(serial.flat()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "pool and serial_scope differ");
+        }
+        for i in 0..d.len() {
+            let row: Vec<u32> = f
+                .featurize(d, i)
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let all: Vec<u32> = m.row(i).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                row, all,
+                "featurize({i}) differs from row {i} of featurize_all"
+            );
+        }
+        m
+    }
+
+    #[test]
+    fn featurize_all_bits_are_pinned_at_the_default_config() {
+        let d = dataset();
+        let f = Featurizer::new(&d, FeatureConfig::default()).unwrap();
+        let m = featurize_all_checked(&f, &d);
+        assert_eq!(
+            digest(&m),
+            13116893280424703673,
+            "default-config feature bits moved"
+        );
+    }
+
+    #[test]
+    fn featurize_all_bits_are_pinned_with_the_sim_block_and_4_grams() {
+        // The dense block on, 4-grams, a four-attribute profile.
+        let p = DatasetProfile::dblp_scholar().scaled(0.01);
+        let d = generate(&p, &mut Rng::seed_from_u64(11)).unwrap();
+        let config = FeatureConfig {
+            include_sim_block: true,
+            trigram_n: 4,
+            ..Default::default()
+        };
+        let f = Featurizer::new(&d, config).unwrap();
+        let m = featurize_all_checked(&f, &d);
+        assert_eq!(
+            digest(&m),
+            18434401604421641485,
+            "sim-block feature bits moved"
+        );
+        // The dense block is `similarity_vector`, appended.
+        let offset = config.n_buckets + OVERLAP_CHANNELS * config.overlap_bins;
+        for i in 0..d.len() {
+            assert_eq!(
+                &m.row(i)[offset..],
+                &f.similarity_vector(&d, i).unwrap()[..]
+            );
+        }
+    }
+
+    /// Records shorter than the n-gram (`"#a#"` has 3 chars, an empty
+    /// record 2), and a featurizer that never saw the dataset it is
+    /// asked about (every token out of vocabulary).
+    #[test]
+    fn short_records_and_unseen_tokens_keep_their_bits() {
+        use em_core::{CandidatePair, Label, RecordId, Schema, Split, Table};
+        let table = |name: &str, rows: &[[&str; 2]]| {
+            let mut t = Table::new(name, Schema::new(["title", "price"]).unwrap());
+            for row in rows {
+                t.push(*row).unwrap();
+            }
+            t
+        };
+        let task = |left: &[[&str; 2]], right: &[[&str; 2]]| {
+            let pairs = vec![
+                CandidatePair::new(RecordId(0), RecordId(0)),
+                CandidatePair::new(RecordId(0), RecordId(1)),
+                CandidatePair::new(RecordId(1), RecordId(2)),
+                CandidatePair::new(RecordId(2), RecordId(2)),
+            ];
+            let labels = vec![Label::Match, Label::NonMatch, Label::NonMatch, Label::Match];
+            let split = Split {
+                train: vec![0, 1, 2, 3],
+                valid: vec![],
+                test: vec![],
+            };
+            Dataset::new(
+                "short",
+                table("l", left),
+                table("r", right),
+                pairs,
+                labels,
+                split,
+            )
+            .unwrap()
+        };
+        let seen = task(
+            &[["a", ""], ["", ""], ["ab c", "7"]],
+            &[["a", ""], ["b", "7.0"], ["ab  c", "7"]],
+        );
+        let unseen = task(
+            &[["zz", "3"], ["q", ""], ["new words here", "x"]],
+            &[["zz", "3"], ["a", ""], ["words new", "0"]],
+        );
+        let config = FeatureConfig {
+            include_sim_block: true,
+            trigram_n: 4,
+            ..Default::default()
+        };
+        let f = Featurizer::new(&seen, config).unwrap();
+        let m = featurize_all_checked(&f, &seen);
+        assert_eq!(
+            digest(&m),
+            11799939654102179148,
+            "short-record feature bits moved"
+        );
+        // "a" vs "a": one whole-text n-gram each, and they agree.
+        assert_eq!(f.similarity_vector(&seen, 0).unwrap()[1], 1.0);
+        let m = featurize_all_checked(&f, &unseen);
+        assert_eq!(
+            digest(&m),
+            11870510357171214371,
+            "out-of-vocabulary feature bits moved"
+        );
     }
 }

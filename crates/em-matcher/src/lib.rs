@@ -13,9 +13,10 @@
 //! multi-layer perceptron:
 //!
 //! * [`features`] — DITTO-style serialization is tokenized and hashed
-//!   (signed feature hashing) together with per-attribute similarity
-//!   features; features are a pure function of the text, so they are
-//!   computed once per dataset and reused across iterations,
+//!   (signed feature hashing) together with binned overlap channels;
+//!   features are a pure function of the text, so they are computed once
+//!   per dataset and reused across iterations — each record is viewed
+//!   once and the pairs are featurized across the pool,
 //! * [`mlp`] — dense layers with ReLU, sigmoid head, manual
 //!   backpropagation; the **last hidden activation is the pair
 //!   representation** (the `[CLS]` analogue); both passes are

@@ -20,9 +20,15 @@ use em_core::{EmError, Result};
 /// This is the one similarity kernel of the workspace: the scalar
 /// search paths, the blocked Gram kernels and the graph builders all
 /// call it, so their results are mutually bit-compatible.
+///
+/// # Panics
+///
+/// If the slices differ in length, in every build profile.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    // Hard assert, as in `dot_with_tier`: the remainder loop would pair
+    // the shorter slice's tail with the wrong elements of the longer one.
+    assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; 16];
     let ca = a.chunks_exact(16);
     let cb = b.chunks_exact(16);
@@ -49,8 +55,13 @@ pub fn norm(a: &[f32]) -> f32 {
 }
 
 /// Cosine similarity in `[-1, 1]`; zero vectors yield 0.
+///
+/// # Panics
+///
+/// If the slices differ in length, zero vectors included.
 #[inline]
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len());
     let na = norm(a);
     let nb = norm(b);
     if na == 0.0 || nb == 0.0 {
@@ -70,9 +81,14 @@ pub fn normalize(a: &mut [f32]) {
 }
 
 /// Squared Euclidean distance.
+///
+/// # Panics
+///
+/// If the slices differ in length (the extra elements would otherwise
+/// be ignored).
 #[inline]
 pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len());
     let mut sum = 0.0;
     for i in 0..a.len() {
         let d = a[i] - b[i];
@@ -316,5 +332,26 @@ mod tests {
     #[test]
     fn sq_euclidean_known() {
         assert_eq!(sq_euclidean(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
+    }
+
+    // Lengths past one 16-lane block, so a release build would otherwise
+    // reach the remainder loop with mismatched tails.
+    #[test]
+    #[should_panic]
+    fn dot_rejects_slices_of_different_lengths() {
+        dot(&[1.0; 17], &[1.0; 18]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn cosine_rejects_slices_of_different_lengths() {
+        // A zero vector returns early, after the length check.
+        cosine(&[0.0; 17], &[1.0; 18]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn sq_euclidean_rejects_slices_of_different_lengths() {
+        sq_euclidean(&[1.0; 2], &[1.0; 3]);
     }
 }
