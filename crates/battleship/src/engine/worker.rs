@@ -164,8 +164,7 @@ impl<'a> ActiveLearningRun<'a> {
             &self.valid_labels,
             matcher_config,
         )?;
-        let out = matcher.predict(self.features, &self.test_idx)?;
-        let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
+        let predicted = matcher.labels(self.features, &self.test_idx)?;
         let metrics = BinaryConfusion::from_labels(&predicted, &self.test_labels)?.metrics();
         Ok((matcher, metrics))
     }

@@ -765,8 +765,7 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             &dataset.ground_truth_of(&split.valid),
             matcher_config,
         )?;
-        let out = matcher.predict(features, &split.test)?;
-        let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
+        let predicted = matcher.labels(features, &split.test)?;
         let truth = dataset.ground_truth_of(&split.test);
         let metrics = BinaryConfusion::from_labels(&predicted, &truth)?.metrics();
         Ok((matcher, metrics))

@@ -94,6 +94,22 @@ mod tests {
     }
 
     #[test]
+    fn sharpening_and_the_identity_keep_the_half_threshold() {
+        // The labels of `sigmoid(z) ≥ 0.5` are the labels of the
+        // sharpened probability: every float within 2⁻¹² of 0.5, then
+        // every 997th float of the whole clamped range.
+        let near = (0.5f32 - 1.0 / 4096.0).to_bits()..=(0.5f32 + 1.0 / 4096.0).to_bits();
+        let wide = (1e-7f32.to_bits()..=(1.0f32 - 1e-7).to_bits()).step_by(997);
+        for bits in near.chain(wide) {
+            let p = f32::from_bits(bits);
+            for t in [0.25f32, 0.5, 1.0] {
+                let q = apply_temperature(p, t).unwrap();
+                assert_eq!(q >= 0.5, p >= 0.5, "p {p} T {t} -> {q}");
+            }
+        }
+    }
+
+    #[test]
     fn smoothing_pulls_toward_half() {
         let smooth = apply_temperature(0.9, 4.0).unwrap();
         assert!(smooth < 0.9 && smooth > 0.5, "smoothed {smooth}");

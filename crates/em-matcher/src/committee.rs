@@ -85,9 +85,9 @@ impl Committee {
     pub fn vote_fractions(&self, features: &Embeddings, indices: &[usize]) -> Result<Vec<f64>> {
         let mut votes = vec![0usize; indices.len()];
         for member in &self.members {
-            let out = member.predict(features, indices)?;
-            for (v, p) in votes.iter_mut().zip(&out.predictions) {
-                if p.label.is_match() {
+            let labels = member.labels(features, indices)?;
+            for (v, l) in votes.iter_mut().zip(&labels) {
+                if l.is_match() {
                     *v += 1;
                 }
             }

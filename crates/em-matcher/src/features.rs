@@ -72,6 +72,9 @@ const PER_ATTR_FEATURES: usize = 6;
 /// Dense whole-record features.
 const GLOBAL_FEATURES: usize = 4;
 
+/// Pairs per parallel chunk of [`Featurizer::similarity_all`].
+const SIM_CHUNK: usize = 64;
+
 /// Featurizer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureConfig {
@@ -508,7 +511,7 @@ impl Featurizer {
         // --- Dense similarity block (ablation only; see FeatureConfig). ---
         if self.config.include_sim_block {
             let offset = n_buckets + OVERLAP_CHANNELS * bins;
-            out[offset..].copy_from_slice(&self.similarities(l, r));
+            self.write_similarities(l, r, &mut out[offset..]);
         }
     }
 
@@ -516,29 +519,34 @@ impl Featurizer {
     /// representation ZeroER fits its mixture over).
     pub fn similarity_vector(&self, dataset: &Dataset, idx: PairIdx) -> Result<Vec<f32>> {
         let (l, r) = dataset.pair_records(idx)?;
-        Ok(self.similarities(l, r))
+        let mut out = vec![0.0f32; self.sim_dim()];
+        self.write_similarities(l, r, &mut out);
+        Ok(out)
     }
 
-    /// [`Featurizer::similarity_vector`] of two records.
-    fn similarities(&self, l: &Record, r: &Record) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.sim_dim());
-        for a in 0..self.n_attrs {
+    /// [`Featurizer::similarity_vector`] of two records, written into
+    /// `out` (`sim_dim` long).
+    fn write_similarities(&self, l: &Record, r: &Record, out: &mut [f32]) {
+        let (attrs, whole) = out.split_at_mut(self.n_attrs * PER_ATTR_FEATURES);
+        for (a, dst) in attrs.chunks_exact_mut(PER_ATTR_FEATURES).enumerate() {
             let lv = l.value(a).unwrap_or("");
             let rv = r.value(a).unwrap_or("");
             let lt = TokenSet::from_text(lv);
             let rt = TokenSet::from_text(rv);
             let lg = TokenSet::from_tokens(char_ngrams(lv, self.config.trigram_n));
             let rg = TokenSet::from_tokens(char_ngrams(rv, self.config.trigram_n));
-            out.push(jaccard(&lt, &rt) as f32);
-            out.push(jaccard(&lg, &rg) as f32);
-            out.push(overlap_coefficient(&lt, &rt) as f32);
-            out.push(if !lv.is_empty() && lv == rv { 1.0 } else { 0.0 });
-            out.push(if lv.is_empty() && rv.is_empty() {
-                1.0
-            } else {
-                0.0
-            });
-            out.push(numeric_agreement(lv, rv));
+            dst.copy_from_slice(&[
+                jaccard(&lt, &rt) as f32,
+                jaccard(&lg, &rg) as f32,
+                overlap_coefficient(&lt, &rt) as f32,
+                if !lv.is_empty() && lv == rv { 1.0 } else { 0.0 },
+                if lv.is_empty() && rv.is_empty() {
+                    1.0
+                } else {
+                    0.0
+                },
+                numeric_agreement(lv, rv),
+            ]);
         }
         let lf = l.full_text();
         let rf = r.full_text();
@@ -546,26 +554,40 @@ impl Featurizer {
         let rt = TokenSet::from_text(&rf);
         let lg = TokenSet::from_tokens(char_ngrams(&lf, self.config.trigram_n));
         let rg = TokenSet::from_tokens(char_ngrams(&rf, self.config.trigram_n));
-        out.push(jaccard(&lt, &rt) as f32);
-        out.push(jaccard(&lg, &rg) as f32);
-        out.push(overlap_coefficient(&lt, &rt) as f32);
         let (ll, rl) = (lf.len() as f32, rf.len() as f32);
-        out.push(if ll.max(rl) > 0.0 {
-            ll.min(rl) / ll.max(rl)
-        } else {
-            1.0
-        });
-        debug_assert_eq!(out.len(), self.sim_dim());
-        out
+        whole.copy_from_slice(&[
+            jaccard(&lt, &rt) as f32,
+            jaccard(&lg, &rg) as f32,
+            overlap_coefficient(&lt, &rt) as f32,
+            if ll.max(rl) > 0.0 {
+                ll.min(rl) / ll.max(rl)
+            } else {
+                1.0
+            },
+        ]);
     }
 
-    /// Similarity vectors for every pair (for ZeroER).
+    /// Similarity vectors for every pair (for ZeroER): row `i` is
+    /// [`Featurizer::similarity_vector`] of pair `i`, written into one
+    /// exact-size buffer in fixed `SIM_CHUNK`-pair chunks across the
+    /// pool.
     pub fn similarity_all(&self, dataset: &Dataset) -> Result<Embeddings> {
-        let mut m = Embeddings::new(self.sim_dim())?;
-        for i in 0..dataset.len() {
-            m.push(&self.similarity_vector(dataset, i)?)?;
-        }
-        Ok(m)
+        // Resolve every pair first, so the parallel pass cannot fail.
+        let pairs = (0..dataset.len())
+            .map(|i| dataset.pair_records(i))
+            .collect::<Result<Vec<_>>>()?;
+        let dim = self.sim_dim();
+        let mut data = vec![0.0f32; pairs.len() * dim];
+        let chunks: Vec<_> = pairs
+            .chunks(SIM_CHUNK)
+            .zip(data.chunks_mut(SIM_CHUNK * dim))
+            .collect();
+        chunks.into_par_iter().for_each(|(pairs, rows)| {
+            for (&(l, r), row) in pairs.iter().zip(rows.chunks_exact_mut(dim)) {
+                self.write_similarities(l, r, row);
+            }
+        });
+        Embeddings::from_flat(dim, data)
     }
 }
 
@@ -824,6 +846,24 @@ mod tests {
                 &m.row(i)[offset..],
                 &f.similarity_vector(&d, i).unwrap()[..]
             );
+        }
+    }
+
+    #[test]
+    fn similarity_all_rows_are_similarity_vectors_in_the_pool_and_serially() {
+        // Enough pairs for several chunks, the last one partial.
+        let p = DatasetProfile::amazon_google().scaled(0.03);
+        let d = generate(&p, &mut Rng::seed_from_u64(5)).unwrap();
+        assert!(d.len() > 3 * SIM_CHUNK && !d.len().is_multiple_of(SIM_CHUNK));
+        let f = Featurizer::new(&d, FeatureConfig::default()).unwrap();
+        let pool = f.similarity_all(&d).unwrap();
+        let serial = rayon::serial_scope(|| f.similarity_all(&d).unwrap());
+        assert_eq!((pool.len(), pool.dim()), (d.len(), f.sim_dim()));
+        let bits = |row: &[f32]| -> Vec<u32> { row.iter().map(|x| x.to_bits()).collect() };
+        for i in 0..d.len() {
+            let single = f.similarity_vector(&d, i).unwrap();
+            assert_eq!(bits(pool.row(i)), bits(&single), "pair {i}");
+            assert_eq!(bits(serial.row(i)), bits(&single), "pair {i} serial");
         }
     }
 

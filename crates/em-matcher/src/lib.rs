@@ -38,6 +38,7 @@ pub mod adamw;
 pub mod calibration;
 pub mod committee;
 pub mod features;
+mod labels;
 pub mod matcher;
 pub mod mlp;
 pub mod reference;

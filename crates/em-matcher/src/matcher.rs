@@ -19,14 +19,71 @@
 //! step splits its update into ranges across the rayon pool; both are
 //! bit-identical to the serial baseline-width loops. The per-epoch
 //! validation probe packs the validation rows once into
-//! `PREDICT_CHUNK`-row chunks and forwards them across the pool
-//! through borrowed batched passes (no `mlp.clone()`, no throwaway
-//! matcher), reassembling the labels in index order; and
-//! [`TrainedMatcher::predict`] packs the requested rows and fans
-//! the forward passes out over the same chunks — bit-identical to the
-//! per-row [`TrainedMatcher::predict_one`] path, chunked or not (the
-//! golden tests below assert it). The seed's scalar loop lives on in
-//! [`crate::reference`] as the benchmark baseline.
+//! `PREDICT_CHUNK`-row chunks and labels them across the pool over the
+//! borrowed network (no `mlp.clone()`, no throwaway matcher), each
+//! chunk on buffers it keeps across epochs, reassembling the labels in
+//! index order; and [`TrainedMatcher::predict`] packs the requested
+//! rows and fans the forward passes out over the same chunks —
+//! bit-identical to the per-row [`TrainedMatcher::predict_one`] path,
+//! chunked or not (the golden tests below assert it). The seed's scalar
+//! loop lives on in [`crate::reference`] as the benchmark baseline.
+//!
+//! # Certified labels
+//!
+//! The probe, [`TrainedMatcher::labels`] and [`TrainedMatcher::evaluate`]
+//! read only each row's label `sigmoid(ẑ) ≥ 0.5`, where `ẑ` is the logit
+//! of the exact forward (the one `predict` runs). For a sparse-input
+//! network they decide it the way an adaptive geometric predicate
+//! does (Shewchuk, *Discrete & Computational Geometry* 18, 1997): a
+//! fast evaluation with a rigorous rounding-error bound settles most
+//! rows, and only the rows the bound cannot settle run the exact
+//! forward. The labels — and so every best epoch, parameter bit, F1
+//! and report byte — are the exact forward's.
+//!
+//! *The fast logit and its bound.* The first layer runs
+//! [`em_vector::sparse_gemm_bias_relu_bounded`]: ReLU activations `ã`
+//! summed in index order, and per unit a bound `e ≥ |ã − â|` on the
+//! distance from the exact kernel's activations `â`, on any tier. Each
+//! deeper layer of fan-in `k` runs the dense kernel on `ã` and carries
+//! the bound forward with that kernel over `|W|` (copies of the deeper
+//! layers only, 97 floats for the shipped `848 → 96 → 1` network, taken
+//! once per probe):
+//! `e' = |W|·e + 2γ_{k+2}·(|W|·(ã + e) + |b|) + (k+1)·2⁻¹²⁶`. Both the
+//! exact and the fast sums lie within `γ_{k+1}·(|W|·|a| + |b|)` of the
+//! real `W·a + b` (any order, FMA or not; Higham, *Accuracy and
+//! Stability of Numerical Algorithms*, §3.1), `|â| ≤ ã + e`, ReLU is
+//! 1-Lipschitz, and the last term covers products rounded in the
+//! subnormal range. The last layer ends in `(z̃, e)` per row; the
+//! decision uses `E = 2e`.
+//!
+//! *Why `E` is doubled.* The bound is itself computed in `f32`, and
+//! each of its sums of non-negative terms can fall short of its real
+//! value, by a factor of at least `1 − γ_{k+4}` per layer. The doubling
+//! covers the product of those factors while it stays above 1/2:
+//! every fan-in is at most [`em_vector::MAX_BOUNDED_TERMS`] (4,094,
+//! where `γ_{k+4} < 2.5·10⁻⁴`) and there are at most 1,024 layers;
+//! other networks take the exact probe. So `|z̃ − ẑ| ≤ E`.
+//!
+//! *The decision.* `Match` if `z̃ > E`: then `ẑ > 0`, `exp(−ẑ) ≤ 1`
+//! and `sigmoid(ẑ) = 1/(1 + exp(−ẑ)) ≥ 0.5`. `NonMatch` if
+//! `z̃ + E < −τ` with `τ = 2⁻¹⁰`: then `ẑ < −τ`, `exp(ẑ) < 0.9991` and
+//! `sigmoid(ẑ) = exp(ẑ)/(1 + exp(ẑ)) < 0.49976`, far from 0.5 after
+//! rounding (inside `(−τ, 0)`, `exp` can round to 1 and `sigmoid` to
+//! exactly 0.5, which labels `Match`). Both comparisons are sound in
+//! `f32`, since rounding is monotone and `0` and `−τ` are floats.
+//! Otherwise, or if `z̃` or `E` is not finite (NaN or infinite inputs
+//! or weights, and magnitudes large enough that either evaluation
+//! could overflow, all surface that way), the row runs the exact
+//! forward. Widening `τ` or the bound only sends more rows there.
+//!
+//! *Preconditions.* Any SIMD tier and any evaluation order of the
+//! exact kernels; the default IEEE rounding mode with subnormals kept
+//! (no flush-to-zero). A dense-input network keeps the exact forward
+//! for every row, so the exact forward is the one source of labels.
+//! On featurized amazon-google rows (18 nonzeros of 848) a row costs
+//! about a third of its exact forward (0.26 against 0.77 µs on one
+//! core of a 2-core AVX-512 VM), and the bound leaves about one row in
+//! 10,000 to the exact forward.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -36,6 +93,7 @@ use em_vector::{pack_rows, Embeddings, SparseRows};
 
 use crate::adamw::AdamW;
 use crate::calibration::apply_temperature;
+use crate::labels::{sign_label, LabelProbe, LabelScratch};
 use crate::mlp::{sigmoid, Mlp, MlpWorkspace, DENSE_INPUT_DENSITY};
 
 /// Rows per parallel prediction chunk: large enough that the per-chunk
@@ -282,15 +340,7 @@ impl TrainedMatcher {
     /// output is bit-identical to calling [`TrainedMatcher::predict_one`]
     /// row by row, at any thread count.
     pub fn predict(&self, features: &Embeddings, indices: &[usize]) -> Result<MatcherOutput> {
-        for &i in indices {
-            if i >= features.len() {
-                return Err(EmError::IndexOutOfBounds {
-                    context: "matcher predict".into(),
-                    index: i,
-                    len: features.len(),
-                });
-            }
-        }
+        check_rows(features, indices, "matcher predict")?;
         let repr_dim = self.mlp.repr_dim();
         if indices.is_empty() {
             return Ok(MatcherOutput {
@@ -332,6 +382,40 @@ impl TrainedMatcher {
         self.predict(features, &all)
     }
 
+    /// The labels [`TrainedMatcher::predict`] assigns to rows `indices`,
+    /// without building its probabilities and representations.
+    ///
+    /// Rows are decided by the certified probe (see the module docs) in
+    /// `PREDICT_CHUNK`-row chunks across the pool. Its sign labels
+    /// `sigmoid(ẑ) ≥ 0.5` are `predict`'s labels because sharpening
+    /// (`T < 1`) and the identity keep the 0.5 threshold; a smoothing
+    /// temperature (`T > 1`), which can round a logit just below 0 up to
+    /// exactly 0.5, reads the labels off `predict` instead.
+    pub fn labels(&self, features: &Embeddings, indices: &[usize]) -> Result<Vec<Label>> {
+        check_rows(features, indices, "matcher labels")?;
+        if self.temperature > 1.0 {
+            let out = self.predict(features, indices)?;
+            return Ok(out.predictions.iter().map(|p| p.label).collect());
+        }
+        let probe = LabelProbe::new(&self.mlp);
+        let chunks: Vec<&[usize]> = indices.chunks(PREDICT_CHUNK).collect();
+        let parts: Vec<Result<Vec<Label>>> = chunks
+            .par_iter()
+            .map(|&chunk| {
+                let rows = PackedRows::new(&self.mlp, features, chunk)?;
+                let mut labels = Vec::with_capacity(chunk.len());
+                let mut scratch = LabelScratch::new(features.dim());
+                rows.labels(&self.mlp, probe.as_ref(), &mut scratch, &mut labels)?;
+                Ok(labels)
+            })
+            .collect();
+        let mut labels = Vec::with_capacity(indices.len());
+        for part in parts {
+            labels.extend(part?);
+        }
+        Ok(labels)
+    }
+
     /// F1 against ground truth over the given rows.
     pub fn evaluate(
         &self,
@@ -339,9 +423,20 @@ impl TrainedMatcher {
         indices: &[usize],
         truth: &[Label],
     ) -> Result<em_core::Metrics> {
-        let out = self.predict(features, indices)?;
-        let predicted: Vec<Label> = out.predictions.iter().map(|p| p.label).collect();
+        let predicted = self.labels(features, indices)?;
         Ok(BinaryConfusion::from_labels(&predicted, truth)?.metrics())
+    }
+}
+
+/// Every row id must index `features`.
+fn check_rows(features: &Embeddings, indices: &[usize], context: &str) -> Result<()> {
+    match indices.iter().find(|&&i| i >= features.len()) {
+        Some(&bad) => Err(EmError::IndexOutOfBounds {
+            context: context.into(),
+            index: bad,
+            len: features.len(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -372,6 +467,48 @@ impl PackedRows {
             PackedRows::Dense { xs, rows } => mlp.forward_batch(xs, *rows, ws),
         }
     }
+
+    /// Append these rows' sign labels `sigmoid(ẑ) ≥ 0.5` to `out`:
+    /// certified by `probe` where the network has one, from the exact
+    /// forward otherwise. Returns how many rows took the exact forward.
+    fn labels(
+        &self,
+        mlp: &Mlp,
+        probe: Option<&LabelProbe>,
+        scratch: &mut LabelScratch,
+        out: &mut Vec<Label>,
+    ) -> Result<usize> {
+        match (self, probe) {
+            (PackedRows::Sparse(rows), Some(probe)) => probe.labels(mlp, rows, scratch, out),
+            _ => self.exact_labels(mlp, scratch, out),
+        }
+    }
+
+    /// [`PackedRows::labels`] with every row through the exact forward.
+    fn exact_labels(
+        &self,
+        mlp: &Mlp,
+        scratch: &mut LabelScratch,
+        out: &mut Vec<Label>,
+    ) -> Result<usize> {
+        let (logits, _) = self.forward(mlp, &mut scratch.ws)?;
+        out.extend(logits.iter().map(|&z| sign_label(z)));
+        Ok(logits.len())
+    }
+}
+
+/// How the validation probe labels one chunk: the rows, the network,
+/// its per-probe constants and the chunk's buffers; returns how many
+/// rows took the exact forward.
+type ChunkLabels =
+    fn(&PackedRows, &Mlp, Option<&LabelProbe>, &mut LabelScratch, &mut Vec<Label>) -> Result<usize>;
+
+/// Rows the validation probe labelled over a training, and how many of
+/// them took the exact forward.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ProbeRows {
+    rows: usize,
+    exact: usize,
 }
 
 /// Share of nonzero entries over rows `idx` of `features`.
@@ -395,6 +532,18 @@ pub fn train_matcher(
     valid_labels: &[Label],
     config: &MatcherConfig,
 ) -> Result<TrainedMatcher> {
+    let split = (train_idx, train_labels, valid_idx, valid_labels);
+    train(features, split, config, PackedRows::labels).map(|(matcher, _)| matcher)
+}
+
+/// [`train_matcher`] with the probe's chunk labeller (the tests swap in
+/// the all-exact one); also returns what the probe labelled.
+fn train(
+    features: &Embeddings,
+    (train_idx, train_labels, valid_idx, valid_labels): (&[usize], &[Label], &[usize], &[Label]),
+    config: &MatcherConfig,
+    chunk_labels: ChunkLabels,
+) -> Result<(TrainedMatcher, ProbeRows)> {
     config.validate()?;
     if train_idx.is_empty() {
         return Err(EmError::EmptyInput("matcher training set".into()));
@@ -448,6 +597,11 @@ pub fn train_matcher(
         .chunks(PREDICT_CHUNK)
         .map(|chunk| PackedRows::new(&mlp, features, chunk))
         .collect::<Result<Vec<_>>>()?;
+    let mut valid_scratch: Vec<LabelScratch> = valid_chunks
+        .iter()
+        .map(|_| LabelScratch::new(dim))
+        .collect();
+    let mut probed = ProbeRows::default();
     let mut batch = SparseRows::new(dim);
     let mut opt = AdamW::new(mlp.n_params(), config.lr, config.weight_decay)?;
     let decay_mask = mlp.decay_mask().to_vec();
@@ -476,32 +630,30 @@ pub fn train_matcher(
             }
             opt.step(mlp.params_mut(), &grads, &decay_mask)?;
         }
-        // Best-epoch selection on validation F1 (paper §4.2) through
-        // borrowed batched forward passes — no network clone, no
-        // throwaway matcher. The chunks run across the pool as in
-        // `TrainedMatcher::predict` and their labels are reassembled in
-        // index order; rows are independent, so the labels do not depend
-        // on the split. Labels come from `sigmoid(logit) ≥ 0.5` — the
-        // exact threshold `Prediction::from_prob` applies, including f32
-        // rounding at the boundary — and temperature sharpening is
-        // monotone with fixed point 0.5, so the resulting F1 is
-        // identical to the full prediction path's.
+        // Best-epoch selection on validation F1 (paper §4.2), from the
+        // sign labels of the certified probe (see the module docs) over
+        // the borrowed network. The chunks run across the pool, each on
+        // its own buffers kept across epochs, and their labels are
+        // reassembled in index order; rows are independent, so the
+        // labels do not depend on the split.
         if !valid_idx.is_empty() {
-            let parts: Vec<Result<Vec<Label>>> = valid_chunks
-                .par_iter()
-                .map(|rows| {
-                    let mut ws = MlpWorkspace::new();
-                    let (logits, _) = rows.forward(&mlp, &mut ws)?;
-                    Ok(logits
-                        .iter()
-                        .map(|&z| Label::from_bool(sigmoid(z) >= 0.5))
-                        .collect())
+            let probe = LabelProbe::new(&mlp);
+            let jobs: Vec<_> = valid_chunks.iter().zip(&mut valid_scratch).collect();
+            let parts: Vec<Result<(Vec<Label>, usize)>> = jobs
+                .into_par_iter()
+                .map(|(rows, scratch)| {
+                    let mut labels = Vec::with_capacity(PREDICT_CHUNK);
+                    let exact = chunk_labels(rows, &mlp, probe.as_ref(), scratch, &mut labels)?;
+                    Ok((labels, exact))
                 })
                 .collect();
             let mut predicted = Vec::with_capacity(valid_idx.len());
             for part in parts {
-                predicted.extend(part?);
+                let (labels, exact) = part?;
+                predicted.extend(labels);
+                probed.exact += exact;
             }
+            probed.rows += predicted.len();
             let f1 = BinaryConfusion::from_labels(&predicted, valid_labels)?
                 .metrics()
                 .f1;
@@ -517,12 +669,13 @@ pub fn train_matcher(
     }
     mlp.restore(&best_snapshot)?;
 
-    Ok(TrainedMatcher {
+    let matcher = TrainedMatcher {
         mlp,
         temperature: config.temperature,
         best_valid_f1: if best_f1.is_finite() { best_f1 } else { 0.0 },
         best_epoch,
-    })
+    };
+    Ok((matcher, probed))
 }
 
 #[cfg(test)]
@@ -841,6 +994,192 @@ mod tests {
         // through the full prediction path.
         let f1 = m.evaluate(&feats, &valid, &valid_labels).unwrap().f1;
         assert_eq!(f1.to_bits(), m.best_valid_f1.to_bits());
+    }
+
+    /// [`train_matcher`] through the all-exact probe: the oracle of the
+    /// certified one.
+    fn train_all_exact(
+        features: &Embeddings,
+        split: (&[usize], &[Label], &[usize], &[Label]),
+        config: &MatcherConfig,
+    ) -> (TrainedMatcher, ProbeRows) {
+        train(features, split, config, |rows, mlp, _, scratch, out| {
+            rows.exact_labels(mlp, scratch, out)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn certified_probe_trains_the_all_exact_bits() {
+        // Featurized amazon-google and dblp-scholar at small scale: the
+        // certified probe must keep the all-exact probe's parameters,
+        // best epoch and best F1 bit for bit — on every tier under
+        // `serial_scope`, and across the pool at the detected tier (the
+        // tier override is per thread, so a pool run mixes tiers) — and
+        // must send under 1 % of its rows to the exact forward.
+        use em_vector::{with_simd_tier, SimdTier};
+        let tasks = [
+            (DatasetProfile::amazon_google().scaled(0.1), 7),
+            (DatasetProfile::dblp_scholar().scaled(0.1), 3),
+        ];
+        let cfg = MatcherConfig {
+            epochs: 6,
+            ..Default::default()
+        };
+        let mut probed = ProbeRows::default();
+        for (profile, seed) in tasks {
+            let d = generate(&profile, &mut Rng::seed_from_u64(seed)).unwrap();
+            let feats = Featurizer::new(&d, FeatureConfig::default())
+                .unwrap()
+                .featurize_all(&d)
+                .unwrap();
+            let split = d.split();
+            let train_rows = split.train[..split.train.len().min(400)].to_vec();
+            let valid: Vec<usize> = split.valid.iter().chain(&split.test).copied().collect();
+            let (train_labels, valid_labels) =
+                (d.ground_truth_of(&train_rows), d.ground_truth_of(&valid));
+            let split = (
+                &train_rows[..],
+                &train_labels[..],
+                &valid[..],
+                &valid_labels[..],
+            );
+            let compare = |name: &str| {
+                let (fast, rows) = train(&feats, split, &cfg, PackedRows::labels).unwrap();
+                let (exact, all) = train_all_exact(&feats, split, &cfg);
+                assert_eq!(all.exact, all.rows, "{name}");
+                assert_eq!(rows.rows, all.rows, "{name}");
+                assert_eq!(fast.best_epoch, exact.best_epoch, "{name}");
+                assert_eq!(
+                    fast.best_valid_f1.to_bits(),
+                    exact.best_valid_f1.to_bits(),
+                    "{name}"
+                );
+                let bits = |m: &TrainedMatcher| -> Vec<u32> {
+                    m.to_snapshot().params.iter().map(|x| x.to_bits()).collect()
+                };
+                assert!(bits(&fast) == bits(&exact), "{name}: parameters differ");
+                rows
+            };
+            for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+                let name = format!("{} {}", d.name, tier.name());
+                let rows = with_simd_tier(tier, || rayon::serial_scope(|| compare(&name)));
+                probed.rows += rows.rows;
+                probed.exact += rows.exact;
+            }
+            let rows = compare(&format!("{} pool", d.name));
+            probed.rows += rows.rows;
+            probed.exact += rows.exact;
+        }
+        assert!(probed.rows >= 20_000, "{probed:?}");
+        assert!(probed.exact * 100 < probed.rows, "{probed:?}");
+    }
+
+    #[test]
+    fn labels_are_predicts_labels_on_every_tier() {
+        // A sparse-input and a dense-input network, each at the default
+        // sharpening and at the identity temperature (and a smoothing
+        // one, which reads `predict`): every row's label must be the one
+        // `predict` assigns, on every tier.
+        use em_vector::{with_simd_tier, SimdTier};
+        let cfg = MatcherConfig {
+            epochs: 4,
+            ..Default::default()
+        };
+        let (sparse_feats, train, train_labels, test, _) = small_task();
+        let sparse = train_matcher(&sparse_feats, &train, &train_labels, &[], &[], &cfg).unwrap();
+        assert!(sparse.mlp().sparse_input());
+        let mut rng = Rng::seed_from_u64(12);
+        let rows: Vec<Vec<f32>> = (0..700)
+            .map(|_| (0..24).map(|_| rng.normal() as f32).collect())
+            .collect();
+        let dense_feats = Embeddings::from_rows(&rows).unwrap();
+        let dense_labels: Vec<Label> = rows.iter().map(|r| Label::from_bool(r[0] > 0.0)).collect();
+        let dense_train: Vec<usize> = (0..300).collect();
+        let dense = train_matcher(
+            &dense_feats,
+            &dense_train,
+            &dense_labels[..300],
+            &[],
+            &[],
+            &cfg,
+        )
+        .unwrap();
+        assert!(!dense.mlp().sparse_input());
+        let dense_rows: Vec<usize> = (300..700).collect();
+        for (m, feats, rows) in [
+            (&sparse, &sparse_feats, &test),
+            (&dense, &dense_feats, &dense_rows),
+        ] {
+            for temperature in [0.25f32, 1.0, 4.0] {
+                let m = TrainedMatcher {
+                    temperature,
+                    ..m.clone()
+                };
+                for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+                    with_simd_tier(tier, || {
+                        rayon::serial_scope(|| {
+                            let labels = m.labels(feats, rows).unwrap();
+                            let out = m.predict(feats, rows).unwrap();
+                            assert_eq!(labels.len(), rows.len());
+                            for (i, (l, p)) in labels.iter().zip(&out.predictions).enumerate() {
+                                assert_eq!(
+                                    *l,
+                                    p.label,
+                                    "tier {} T {temperature} row {i}",
+                                    tier.name()
+                                );
+                            }
+                        })
+                    });
+                }
+            }
+        }
+        assert!(sparse.labels(&sparse_feats, &[]).unwrap().is_empty());
+        assert!(sparse.labels(&sparse_feats, &[999_999]).is_err());
+    }
+
+    #[test]
+    fn near_zero_logits_take_the_exact_forward() {
+        // Shift the output bias so one row's exact logit lands on (or
+        // within an ulp of) zero: the bound cannot settle that row, so it
+        // takes the exact forward, and its label is still `predict`'s.
+        use em_vector::{with_simd_tier, SimdTier};
+        let cfg = MatcherConfig {
+            epochs: 4,
+            ..Default::default()
+        };
+        let (feats, train, train_labels, test, _) = small_task();
+        let m = train_matcher(&feats, &train, &train_labels, &[], &[], &cfg).unwrap();
+        let rows = &test[..test.len().min(300)];
+        for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+            with_simd_tier(tier, || {
+                rayon::serial_scope(|| {
+                    for &target in rows.iter().step_by(37) {
+                        let (logit, _) = m.mlp().forward(feats.row(target)).unwrap();
+                        let mut snapshot = m.to_snapshot();
+                        *snapshot.params.last_mut().unwrap() -= logit;
+                        let shifted = TrainedMatcher::from_snapshot(&snapshot).unwrap();
+                        let (z, _) = shifted.mlp().forward(feats.row(target)).unwrap();
+                        assert!(z.abs() < 1e-5, "logit {z}");
+                        let packed = PackedRows::new(shifted.mlp(), &feats, rows).unwrap();
+                        let probe = LabelProbe::new(shifted.mlp());
+                        assert!(probe.is_some());
+                        let mut scratch = LabelScratch::new(feats.dim());
+                        let mut labels = Vec::new();
+                        let exact = packed
+                            .labels(shifted.mlp(), probe.as_ref(), &mut scratch, &mut labels)
+                            .unwrap();
+                        assert!(exact >= 1 && exact < rows.len() / 10, "{exact} exact rows");
+                        let out = shifted.predict(&feats, rows).unwrap();
+                        for (i, (l, p)) in labels.iter().zip(&out.predictions).enumerate() {
+                            assert_eq!(*l, p.label, "tier {} row {i}", tier.name());
+                        }
+                        assert_eq!(labels, shifted.labels(&feats, rows).unwrap());
+                    }
+                })
+            });
+        }
     }
 
     #[test]

@@ -282,9 +282,15 @@ impl Mlp {
         &mut self.params
     }
 
-    /// Layer metadata view (the seed-verbatim reference path reads it).
+    /// Layer metadata view (the seed-verbatim reference path and the
+    /// certified labels read it).
     pub(crate) fn layer_specs(&self) -> &[LayerSpec] {
         &self.layers
+    }
+
+    /// Flat parameters in the training layout, read-only.
+    pub(crate) fn params(&self) -> &[f32] {
+        &self.params
     }
 
     /// Weight-decay mask aligned with [`Mlp::params_mut`].

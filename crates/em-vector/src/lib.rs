@@ -25,7 +25,8 @@
 //!   AVX-512 included,
 //! * [`sparse`] — [`SparseRows`] (compressed sparse rows) and the
 //!   sparse-input layer product behind the matcher's first layer,
-//!   bit-identical to the dense fused GEMM on every tier,
+//!   bit-identical to the dense fused GEMM on every tier, with a fast
+//!   pass that reports a rigorous bound on its distance from it,
 //! * [`lsh`] — random-hyperplane (SimHash) signatures, the bucket keys
 //!   of the blocking tier's LSH candidate extraction, and
 //! * [`hnsw`] — a hierarchical navigable small world index; LSH and HNSW
@@ -62,5 +63,8 @@ pub use knn::{top_k, Neighbor};
 pub use lsh::{sample_planes, signature_of, signatures, MAX_SIGNATURE_BITS};
 pub use pca::Pca;
 pub use policy::{AnnPolicy, DEFAULT_ANN_THRESHOLD};
-pub use sparse::{sparse_gemm_bias_relu, SparseRows, SparseScratch};
+pub use sparse::{
+    sparse_gemm_bias_relu, sparse_gemm_bias_relu_bounded, summation_gamma, underflow_allowance,
+    SparseRows, SparseScratch, MAX_BOUNDED_TERMS,
+};
 pub use tsne::{Tsne, TsneConfig};

@@ -40,6 +40,38 @@
 //! the *sign of an exact-zero* pre-activation — never in a nonzero
 //! value. Trained weights and the featurizer's inputs sit tens of
 //! orders of magnitude above that range.
+//!
+//! # The bounded fast pass
+//!
+//! Bit-identity costs this kernel about ten times its FMA count: up to
+//! 64 slot rows per row and a reduction tree. A caller that needs only
+//! the *sign* of a later logit can use [`sparse_gemm_bias_relu_bounded`]
+//! instead, and re-run through this kernel only the rows whose sign the
+//! bound leaves open (the matcher's certified labels do).
+//!
+//! It sums each row's pre-activations in index order, in registers,
+//! in `PANEL`-wide blocks of outputs (one rounded product and one
+//! rounded add per nonzero, the same arithmetic on every tier), and in
+//! the same pass `Ã_o = |b_o| + Σ|fl(x_i·w_io)|`, from the products
+//! already formed. With `m` nonzeros, the exact kernel's pre-activation (any
+//! tier, any slot order, FMA or not) and the fast one each lie within
+//! `γ_{m+1}·T_o` of the real sum, where `T_o = |b_o| + Σ|x_i·w_io|` and
+//! `γ_k = k·u/(1 − k·u)`, `u = 2⁻²⁴` (Higham, *Accuracy and Stability of
+//! Numerical Algorithms*, §3.1). Since `T_o ≤ Ã_o/(1 − γ_{m+1})` and
+//! `γ_{m+1}/(1 − γ_{m+1}) ≤ γ_{m+2}` while `(m+1)(m+2)·u ≤ 1`, the
+//! reported bound `e_o = 2·γ_{m+2}·Ã_o + (m+1)·2⁻¹²⁶` covers their
+//! distance, ReLU included; the last term covers products rounded in
+//! the subnormal range. The bound's own `f32` rounding leaves it short
+//! of that by a relative `O(m·u)`, for the caller to absorb (the matcher
+//! doubles its final bound).
+//!
+//! Preconditions: at most [`MAX_BOUNDED_TERMS`] nonzeros per row, and
+//! finite values whose magnitudes stay below `f32::MAX / 2`; a row that
+//! breaks them reports a non-finite activation or bound, which tells
+//! the caller to use the exact kernel. The default rounding mode, with
+//! subnormals kept.
+
+use std::ops::Range;
 
 use em_core::{EmError, Result};
 
@@ -459,6 +491,211 @@ fn sparse_rows<const FMA: bool>(
     }
 }
 
+/// `u·(1 + 2⁻¹⁰)`, with `u = 2⁻²⁴` the unit roundoff of `f32`: exact
+/// in `f32`, and at least `γ_k / k` for every `k·u ≤ 2⁻¹²`.
+const GAMMA_PER_TERM: f32 = (1.0 + 1.0 / 1024.0) / (1u32 << 24) as f32;
+
+/// `2⁻¹²⁶`, the least normal `f32`: far above the `2⁻¹⁵⁰` one rounding
+/// in the subnormal range can lose, and itself normal, so the bound
+/// arithmetic never takes a subnormal operand (on x86 each such vector
+/// instruction costs a microcode assist).
+const UNDERFLOW_STEP: f32 = f32::MIN_POSITIVE;
+
+/// Most products a [`summation_gamma`] bound covers. Past it the bound
+/// is `+∞`, which sends the row to the exact kernel.
+pub const MAX_BOUNDED_TERMS: usize = 4094;
+
+/// `γ_{k+2} = (k+2)·u / (1 − (k+2)·u)` for a sum of `k` products and a
+/// bias, rounded up to `(k+2)·u·(1 + 2⁻¹⁰)` (`+∞` past
+/// [`MAX_BOUNDED_TERMS`], where `(k+2)·u ≤ 2⁻¹²` keeps the rounding
+/// up an upper bound) and evaluated in `f32` without a division.
+///
+/// Any evaluation order of such a sum, with products rounded or fused,
+/// lies within `γ_{k+1}·T` of the real sum, where `T` is the real sum
+/// of the terms' magnitudes (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, §3.1). With `Ã` the magnitudes of the
+/// *rounded* products summed in any order, `T ≤ Ã / (1 − γ_{k+1})`;
+/// and `γ_{k+1} / (1 − γ_{k+1}) ≤ γ_{k+2}` while `(k+1)(k+2)·u ≤ 1`,
+/// which the term cap keeps. So two evaluations differ by at most
+/// `2·γ_{k+2}·Ã`, up to the rounding of this constant and of `Ã`
+/// itself (relative `O(k·u)`, which a caller absorbs).
+pub fn summation_gamma(k: usize) -> f32 {
+    if k > MAX_BOUNDED_TERMS {
+        return f32::INFINITY;
+    }
+    (k + 2) as f32 * GAMMA_PER_TERM
+}
+
+/// The absolute underflow allowance of a sum of `k` products: `(k+1)`
+/// steps of `2⁻¹²⁶`, covering every product's and partial sum's
+/// rounding in the subnormal range in both of two evaluations.
+pub fn underflow_allowance(k: usize) -> f32 {
+    (k + 1) as f32 * UNDERFLOW_STEP
+}
+
+/// The first layer's ReLU activations from a fast evaluation, with a
+/// rigorous per-unit bound on their distance from the exact ones.
+///
+/// For the `j`-th row `r` of `rows` (a caller blocks a batch this way
+/// so the outputs stay in cache for its next layer), writes
+/// `act[j·n + o] = max(0, h̃)` where `h̃` is row `r`'s pre-activation
+/// `b_o + Σ_i x_i·wt[i·n + o]` summed in index order with one rounded
+/// product and one rounded add per nonzero, and
+/// `err[j·n + o] = 2·γ_{m+2}·Ã_o + (m+1)·2⁻¹²⁶`, where `m` is the row's
+/// nonzero count and `Ã_o = |b_o| + Σ_i |fl(x_i·wt[i·n + o])|` is
+/// accumulated in the same pass (the magnitudes of the rounded products,
+/// not a copy of `|wt|`). By [`summation_gamma`], the activation that
+/// [`sparse_gemm_bias_relu`] computes with ReLU, on **any** tier, lies
+/// within `err` of `act` (ReLU is 1-Lipschitz), up to a relative
+/// shortfall of `err` itself of `O(m·u)`.
+///
+/// `Ã_o` is doubled before the multiply, so a unit whose magnitudes
+/// reach `f32::MAX / 2` — where either kernel's partial sums could
+/// overflow — reports `err = +∞`. NaN and infinite inputs or weights
+/// surface as a non-finite `act` or `err`; so does a row of more than
+/// [`MAX_BOUNDED_TERMS`] nonzeros. Preconditions: the default IEEE
+/// rounding mode with subnormals kept (no flush-to-zero).
+///
+/// Accumulators stay in registers, in `PANEL`-wide blocks, with no
+/// slot bucketing and no reduction tree; the tier changes only the
+/// vector width.
+pub fn sparse_gemm_bias_relu_bounded(
+    x: &SparseRows,
+    rows: Range<usize>,
+    wt: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: &mut [f32],
+    err: &mut [f32],
+) {
+    assert!(rows.start <= rows.end && rows.end <= x.len());
+    assert_eq!(wt.len(), x.dim() * n);
+    assert_eq!(bias.len(), n);
+    assert_eq!(act.len(), rows.len() * n);
+    assert_eq!(err.len(), rows.len() * n);
+    if n == 0 {
+        return;
+    }
+    let out = (act, err);
+    match simd_tier() {
+        SimdTier::Portable => bounded_rows(x, rows, wt, n, bias, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the Avx2 tier is only ever produced by kernel dispatch
+        // (or clamped to it), which checks `avx2` at runtime.
+        SimdTier::Avx2 => unsafe { bounded_rows_avx2(x, rows, wt, n, bias, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the Avx512 tier is only ever produced by kernel
+        // dispatch (or clamped to it), which checks `avx512f` at runtime.
+        SimdTier::Avx512 => unsafe { bounded_rows_avx512(x, rows, wt, n, bias, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdTier::Avx2 | SimdTier::Avx512 => bounded_rows(x, rows, wt, n, bias, out),
+    }
+}
+
+/// The bounded pass compiled with AVX2 enabled.
+///
+/// # Safety
+/// Requires the `avx2` CPU feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn bounded_rows_avx2(
+    x: &SparseRows,
+    rows: Range<usize>,
+    wt: &[f32],
+    n: usize,
+    bias: &[f32],
+    out: (&mut [f32], &mut [f32]),
+) {
+    bounded_rows(x, rows, wt, n, bias, out)
+}
+
+/// The bounded pass compiled with AVX-512 enabled.
+///
+/// # Safety
+/// Requires the `avx512f` CPU feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn bounded_rows_avx512(
+    x: &SparseRows,
+    rows: Range<usize>,
+    wt: &[f32],
+    n: usize,
+    bias: &[f32],
+    out: (&mut [f32], &mut [f32]),
+) {
+    bounded_rows(x, rows, wt, n, bias, out)
+}
+
+/// Outputs `o..o + W` of one row: the value and magnitude sums in
+/// registers, then the activation and the bound stored once.
+#[inline(always)]
+fn bounded_panel<const W: usize>(
+    row: (&[usize], &[f32]),
+    wt: &[f32],
+    n: usize,
+    o: usize,
+    bias: &[f32],
+    (gamma, tiny): (f32, f32),
+    (act, err): (&mut [f32], &mut [f32]),
+) {
+    let mut h = [0.0f32; W];
+    let mut a = [0.0f32; W];
+    h.copy_from_slice(&bias[o..o + W]);
+    for (a, &b) in a.iter_mut().zip(&h) {
+        *a = b.abs();
+    }
+    for (&i, &v) in row.0.iter().zip(row.1) {
+        let w = &wt[i * n + o..i * n + o + W];
+        for j in 0..W {
+            let p = v * w[j];
+            h[j] += p;
+            a[j] += p.abs();
+        }
+    }
+    for j in 0..W {
+        act[o + j] = h[j].max(0.0);
+        err[o + j] = (a[j] + a[j]) * gamma + tiny;
+    }
+}
+
+/// The per-tier body of [`sparse_gemm_bias_relu_bounded`]: the same
+/// arithmetic on every tier.
+#[inline(always)]
+fn bounded_rows(
+    x: &SparseRows,
+    rows: Range<usize>,
+    wt: &[f32],
+    n: usize,
+    bias: &[f32],
+    (act, err): (&mut [f32], &mut [f32]),
+) {
+    for (act, (err, r)) in act
+        .chunks_exact_mut(n)
+        .zip(err.chunks_exact_mut(n).zip(rows))
+    {
+        let row = x.row(r);
+        let m = row.0.len();
+        let consts = (summation_gamma(m), underflow_allowance(m));
+        let mut o = 0;
+        while o + 2 * PANEL <= n {
+            bounded_panel::<{ 2 * PANEL }>(row, wt, n, o, bias, consts, (&mut *act, &mut *err));
+            o += 2 * PANEL;
+        }
+        if o + PANEL <= n {
+            bounded_panel::<PANEL>(row, wt, n, o, bias, consts, (&mut *act, &mut *err));
+            o += PANEL;
+        }
+        while o + 8 <= n {
+            bounded_panel::<8>(row, wt, n, o, bias, consts, (&mut *act, &mut *err));
+            o += 8;
+        }
+        while o < n {
+            bounded_panel::<1>(row, wt, n, o, bias, consts, (&mut *act, &mut *err));
+            o += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +814,201 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `rows × k` inputs with about `density` nonzeros, each a random
+    /// sign times `10^e` for `e` uniform in `[-decades, decades]`; every
+    /// 29th entry is `−0`.
+    fn wide_inputs(rows: usize, k: usize, density: f64, decades: f64, rng: &mut Rng) -> Vec<f32> {
+        let mut xs = vec![0.0f32; rows * k];
+        for (i, x) in xs.iter_mut().enumerate() {
+            if rng.f64() < density {
+                let sign = if rng.f64() < 0.5 { -1.0 } else { 1.0 };
+                *x = sign * 10f32.powf(((rng.f64() * 2.0 - 1.0) * decades) as f32);
+            }
+            if i % 29 == 0 {
+                *x = -0.0;
+            }
+        }
+        xs
+    }
+
+    /// `(z̃, E)` of a `n → 1` output layer over the bounded first layer's
+    /// `(act, err)`: `z̃` by the dense kernel, `E` the propagated bound
+    /// `|W|·e + 2γ·((|W|·ã + |b|) + |W|·e)` plus the underflow
+    /// allowance, doubled for the rounding of the bound arithmetic.
+    fn output_layer_bound(act: &[f32], err: &[f32], w: &[f32], b: f32) -> (Vec<f32>, Vec<f32>) {
+        let (n, rows) = (w.len(), act.len() / w.len());
+        let w_abs: Vec<f32> = w.iter().map(|x| x.abs()).collect();
+        let mut z = vec![0.0f32; rows];
+        gemm_bias_relu(act, rows, w, 1, n, &[b], false, &mut z);
+        let mut we = vec![0.0f32; rows];
+        gemm_bias_relu(err, rows, &w_abs, 1, n, &[0.0], false, &mut we);
+        let mut wa = vec![0.0f32; rows];
+        gemm_bias_relu(act, rows, &w_abs, 1, n, &[b.abs()], false, &mut wa);
+        let (g, tiny) = (summation_gamma(n), underflow_allowance(n));
+        let bound = we
+            .iter()
+            .zip(&wa)
+            .map(|(&we, &wa)| {
+                let magnitude = wa + we;
+                let e = we + (magnitude + magnitude) * g + tiny;
+                e + e
+            })
+            .collect();
+        (z, bound)
+    }
+
+    #[test]
+    fn bounded_layer_brackets_the_exact_kernel_on_every_tier() {
+        let mut rng = Rng::seed_from_u64(91);
+        let tiers = [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512];
+        let mut checked = 0usize;
+        for &(k, n) in &[(1usize, 1usize), (40, 7), (100, 33), (848, 96), (300, 100)] {
+            for &(density, decades) in &[(0.05, 2.0), (0.3, 12.0), (1.0, 18.0), (0.02, 0.5)] {
+                let rows = 12;
+                let xs = wide_inputs(rows, k, density, decades, &mut rng);
+                let wt: Vec<f32> = (0..k * n)
+                    .map(|_| (rng.normal() * 10f64.powf(rng.f64() * 6.0 - 3.0)) as f32)
+                    .collect();
+                let bias: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+                let w2: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+                let b2 = rng.normal() as f32;
+                let mut sparse = SparseRows::new(k);
+                for r in 0..rows {
+                    sparse.push_dense(&xs[r * k..(r + 1) * k]).unwrap();
+                }
+                for tier in tiers {
+                    with_simd_tier(tier, || {
+                        let mut exact = vec![0.0f32; rows * n];
+                        let mut scratch = SparseScratch::new();
+                        sparse_gemm_bias_relu(
+                            &sparse,
+                            &wt,
+                            n,
+                            &bias,
+                            true,
+                            &mut exact,
+                            &mut scratch,
+                        );
+                        let (mut act, mut err) = (vec![0.0f32; rows * n], vec![0.0f32; rows * n]);
+                        sparse_gemm_bias_relu_bounded(
+                            &sparse,
+                            0..rows,
+                            &wt,
+                            n,
+                            &bias,
+                            &mut act,
+                            &mut err,
+                        );
+                        // A block of rows gives those rows' bits.
+                        let (mut block_act, mut block_err) = (vec![0.0; 4 * n], vec![0.0; 4 * n]);
+                        let block = (&mut block_act[..], &mut block_err[..]);
+                        sparse_gemm_bias_relu_bounded(
+                            &sparse,
+                            3..7,
+                            &wt,
+                            n,
+                            &bias,
+                            block.0,
+                            block.1,
+                        );
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&block_act), bits(&act[3 * n..7 * n]));
+                        assert_eq!(bits(&block_err), bits(&err[3 * n..7 * n]));
+                        for (u, ((&h, &a), &e)) in exact.iter().zip(&act).zip(&err).enumerate() {
+                            assert!(
+                                ((h as f64) - (a as f64)).abs() <= e as f64,
+                                "tier {} k {k} n {n} unit {u}: exact {h} fast {a} bound {e}",
+                                tier.name()
+                            );
+                        }
+                        let mut z_exact = vec![0.0f32; rows];
+                        gemm_bias_relu(&exact, rows, &w2, 1, n, &[b2], false, &mut z_exact);
+                        let (z, bound) = output_layer_bound(&act, &err, &w2, b2);
+                        for r in 0..rows {
+                            let gap = (z[r] as f64 - z_exact[r] as f64).abs();
+                            assert!(gap <= bound[r] as f64, "tier {} row {r}", tier.name());
+                        }
+                        checked += rows;
+                    });
+                }
+            }
+        }
+        assert_eq!(checked, 5 * 4 * 12 * 3);
+    }
+
+    #[test]
+    fn bound_covers_logits_at_and_next_to_zero() {
+        // One-row batches whose output bias cancels the exact logit: to
+        // exactly 0 (so no sign can be certified and the row must go to
+        // the exact kernel) or to within 1e-7 of it.
+        let mut rng = Rng::seed_from_u64(92);
+        let (k, n) = (848usize, 96usize);
+        let wt: Vec<f32> = (0..k * n).map(|_| (rng.normal() * 0.05) as f32).collect();
+        let bias: Vec<f32> = (0..n).map(|_| (rng.normal() * 0.1) as f32).collect();
+        let w2: Vec<f32> = (0..n).map(|_| (rng.normal() * 0.3) as f32).collect();
+        let mut zeros = 0;
+        for case in 0..60 {
+            let xs = wide_inputs(1, k, 0.025, 1.0, &mut rng);
+            let mut row = SparseRows::new(k);
+            row.push_dense(&xs).unwrap();
+            for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+                with_simd_tier(tier, || {
+                    let mut exact = vec![0.0f32; n];
+                    let mut scratch = SparseScratch::new();
+                    sparse_gemm_bias_relu(&row, &wt, n, &bias, true, &mut exact, &mut scratch);
+                    let mut dot = [0.0f32];
+                    gemm_bias_relu(&exact, 1, &w2, 1, n, &[0.0], false, &mut dot);
+                    let offset = if case % 2 == 0 {
+                        0.0
+                    } else {
+                        (rng.f64() * 2.0 - 1.0) as f32 * 1e-7
+                    };
+                    let b2 = offset - dot[0];
+                    let mut z_exact = [0.0f32];
+                    gemm_bias_relu(&exact, 1, &w2, 1, n, &[b2], false, &mut z_exact);
+                    assert!(z_exact[0].abs() <= 2e-7, "{}", z_exact[0]);
+                    let (mut act, mut err) = (vec![0.0f32; n], vec![0.0f32; n]);
+                    sparse_gemm_bias_relu_bounded(&row, 0..1, &wt, n, &bias, &mut act, &mut err);
+                    let (z, bound) = output_layer_bound(&act, &err, &w2, b2);
+                    let gap = (z[0] as f64 - z_exact[0] as f64).abs();
+                    assert!(gap <= bound[0] as f64, "tier {} case {case}", tier.name());
+                    if z_exact[0] == 0.0 {
+                        // An exact zero leaves the sign undecided.
+                        assert!(z[0].abs() <= bound[0]);
+                        zeros += 1;
+                    }
+                });
+            }
+        }
+        assert!(zeros >= 90, "only {zeros} exact-zero logits");
+    }
+
+    #[test]
+    fn bound_reports_non_finite_and_overflowing_rows() {
+        let (k, n) = (6usize, 3usize);
+        let wt = vec![1.0f32; k * n];
+        let mut rows = SparseRows::new(k);
+        rows.push_dense(&[f32::NAN, 0.0, 0.0, 0.0, 0.0, 1.0])
+            .unwrap();
+        rows.push_dense(&[f32::INFINITY, 0.0, 0.0, 0.0, 0.0, 0.0])
+            .unwrap();
+        rows.push_dense(&[f32::MAX, f32::MAX, 0.0, 0.0, 0.0, 0.0])
+            .unwrap();
+        rows.push_dense(&[3e38, -3e38, 0.0, 0.0, 0.0, 0.0]).unwrap();
+        rows.push_dense(&[1.0, 2.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
+        let (mut act, mut err) = (vec![0.0f32; 5 * n], vec![0.0f32; 5 * n]);
+        sparse_gemm_bias_relu_bounded(&rows, 0..5, &wt, n, &[0.0; 3], &mut act, &mut err);
+        for r in 0..4 {
+            let finite = (0..n).all(|o| act[r * n + o].is_finite() && err[r * n + o].is_finite());
+            assert!(!finite, "row {r} looks certifiable");
+        }
+        assert_eq!(&act[4 * n..], &[3.0; 3]);
+        assert!(err[4 * n..].iter().all(|&e| e > 0.0 && e < 1e-5));
+        // A row past the term cap has no bound.
+        assert_eq!(summation_gamma(MAX_BOUNDED_TERMS + 1), f32::INFINITY);
+        assert!(summation_gamma(MAX_BOUNDED_TERMS) < 1e-3);
     }
 
     #[test]
