@@ -505,7 +505,7 @@ type ChunkLabels =
 
 /// Rows the validation probe labelled over a training, and how many of
 /// them took the exact forward.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ProbeRows {
     rows: usize,
     exact: usize,
