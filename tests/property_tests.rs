@@ -211,6 +211,100 @@ proptest! {
         }
     }
 
+    /// The bounded fast first layer brackets the exact sparse kernel on
+    /// every SIMD tier: per unit `|h̃ − ĥ| ≤ e`, and through an exact
+    /// `n → 1` output layer `|z̃ − ẑ| ≤ E` — also when the output bias
+    /// cancels row 0's exact logit to exactly 0, which must leave its
+    /// sign undecided. Inputs span `±decades` orders of magnitude (from
+    /// subnormal products to overflow), with negative zeros; weights
+    /// span six. A bound is claimed only where it is finite, and it must
+    /// be non-finite wherever the exact result is.
+    #[test]
+    fn bounded_sparse_layer_brackets_the_exact_kernel_on_every_tier(
+        k in 1usize..300,
+        n in 1usize..100,
+        rows in 1usize..6,
+        density in 0.0f64..=1.0,
+        decades in 0.0f64..38.0,
+        seed in any::<u64>(),
+        cancel in any::<bool>(),
+    ) {
+        use battleship_em::vector::{
+            gemm_bias_relu, sparse_gemm_bias_relu, sparse_gemm_bias_relu_bounded,
+            summation_gamma, underflow_allowance, with_simd_tier, SimdTier, SparseRows,
+            SparseScratch,
+        };
+        let mut rng = Rng::seed_from_u64(seed);
+        let magnitude = |rng: &mut Rng, decades: f64| {
+            let sign = if rng.f64() < 0.5 { -1.0 } else { 1.0 };
+            sign * 10f64.powf((rng.f64() * 2.0 - 1.0) * decades)
+        };
+        let xs: Vec<f32> = (0..rows * k)
+            .map(|i| {
+                if rng.f64() < density {
+                    magnitude(&mut rng, decades) as f32
+                } else if i % 3 == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let wt: Vec<f32> = (0..k * n).map(|_| magnitude(&mut rng, 3.0) as f32).collect();
+        let bias: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+        let w2: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+        let w2_abs: Vec<f32> = w2.iter().map(|x| x.abs()).collect();
+        let mut sparse = SparseRows::new(k);
+        for row in xs.chunks(k) {
+            sparse.push_dense(row).unwrap();
+        }
+        for tier in [SimdTier::Portable, SimdTier::Avx2, SimdTier::Avx512] {
+            with_simd_tier(tier, || {
+                let mut exact = vec![0.0f32; rows * n];
+                let mut scratch = SparseScratch::new();
+                sparse_gemm_bias_relu(&sparse, &wt, n, &bias, true, &mut exact, &mut scratch);
+                let (mut act, mut err) = (vec![0.0f32; rows * n], vec![0.0f32; rows * n]);
+                sparse_gemm_bias_relu_bounded(&sparse, 0..rows, &wt, n, &bias, &mut act, &mut err);
+                let within = |x: f32, y: f32, bound: f32| {
+                    !bound.is_finite() || (x as f64 - y as f64).abs() <= bound as f64
+                };
+                for ((&h, &a), &e) in exact.iter().zip(&act).zip(&err) {
+                    prop_assert!(within(h, a, e), "tier {}: {h} vs {a} bound {e}", tier.name());
+                }
+                // The output bias: random, or cancelling row 0's logit.
+                let mut b2 = rng.normal() as f32;
+                if cancel {
+                    let mut dot = [0.0f32];
+                    gemm_bias_relu(&exact[..n], 1, &w2, 1, n, &[0.0], false, &mut dot);
+                    b2 = -dot[0];
+                }
+                let mut z_exact = vec![0.0f32; rows];
+                gemm_bias_relu(&exact, rows, &w2, 1, n, &[b2], false, &mut z_exact);
+                let mut z = vec![0.0f32; rows];
+                gemm_bias_relu(&act, rows, &w2, 1, n, &[b2], false, &mut z);
+                let (mut we, mut wa) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+                gemm_bias_relu(&err, rows, &w2_abs, 1, n, &[0.0], false, &mut we);
+                gemm_bias_relu(&act, rows, &w2_abs, 1, n, &[b2.abs()], false, &mut wa);
+                let (g, tiny) = (summation_gamma(n), underflow_allowance(n));
+                for r in 0..rows {
+                    let m = wa[r] + we[r];
+                    let e = we[r] + (m + m) * g + tiny;
+                    let bound = e + e;
+                    prop_assert!(
+                        within(z[r], z_exact[r], bound),
+                        "tier {} row {r}: {} vs {} bound {bound}",
+                        tier.name(),
+                        z[r],
+                        z_exact[r]
+                    );
+                    if z_exact[r] == 0.0 {
+                        prop_assert!(within(z[r], 0.0, bound));
+                    }
+                }
+            });
+        }
+    }
+
     /// Connected components partition the node set, whatever the edges.
     #[test]
     fn components_partition(n in 1usize..40,
