@@ -29,7 +29,9 @@
 //! is bit-identical to `AnnPolicy::never()` on a small pool, for both
 //! `select_k` and `constrained_kmeans`.
 //!
-//! Gates (all from the issue's acceptance bar; every number is written
+//! Each stage speedup is the median of 5 alternating ANN/exact pairs
+//! ([`em_bench::timing::paired`]); the quality checks run on the
+//! estimator's untimed warm-up results. Gates (every number is written
 //! to `BENCH_ann.json` *before* gating so failures still leave an
 //! artifact): silhouette-stage and assignment-stage speedups ≥ 3×,
 //! `|k_ann − k_exact| ≤ 1`, ANN cluster sizes within `[min, max]`
@@ -45,11 +47,10 @@
 //! * `EM_BENCH_ANN_F1_TOL` — end-to-end F1 tolerance, points (default 5.0);
 //! * `EM_BENCH_ANN_OUT` — output JSON path (default `BENCH_ann.json`).
 
-use std::io::Write as _;
-use std::time::Instant;
-
 use battleship::{run_active_learning, ArtifactCache, GridConfig, Scenario, StrategySpec};
 use em_bench::env_or;
+use em_bench::gate::Gates;
+use em_bench::timing::{paired, timed};
 use em_cluster::constrained::{greedy_assign_pass, AssignmentMode};
 use em_cluster::silhouette::{build_silhouette_cache, silhouette_score, silhouette_score_ann};
 use em_cluster::{
@@ -59,15 +60,8 @@ use em_core::{PerfectOracle, Rng};
 use em_synth::DatasetProfile;
 use em_vector::{AnnPolicy, Embeddings};
 
-/// Time a closure once, returning its value and the elapsed seconds.
-/// The heavyweight exact stages run for tens of seconds at the default
-/// scale, so the usual warmup-then-sample loop would double the bench;
-/// all inputs are pre-touched by the untimed sweep/init phases.
-fn time_once<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64())
-}
+/// Alternating ANN/exact pairs behind each stage speedup.
+const PAIRS: usize = 5;
 
 /// Gaussian blobs with random-direction centers — the geometry real
 /// embedding pools have (and the one cosine shortlisting is honest on),
@@ -140,8 +134,7 @@ fn main() {
         })
         .collect();
 
-    eprintln!("[ann] timing exact silhouette stage …");
-    let (exact_scores, sil_exact_secs) = time_once(|| {
+    let exact_stage = || {
         clusterings
             .iter()
             .enumerate()
@@ -150,11 +143,8 @@ fn main() {
                     .expect("exact silhouette")
             })
             .collect::<Vec<f64>>()
-    });
-    eprintln!("[ann] exact silhouette stage: {sil_exact_secs:.3} s");
-
-    eprintln!("[ann] timing ANN silhouette stage (cache build + scores) …");
-    let (ann_scores, sil_ann_secs) = time_once(|| {
+    };
+    let ann_stage = || {
         let cache =
             build_silhouette_cache(&data, sil_sample, seed, &policy_ann).expect("silhouette cache");
         clusterings
@@ -165,17 +155,17 @@ fn main() {
                     .expect("ann silhouette")
             })
             .collect::<Vec<f64>>()
-    });
-    eprintln!("[ann] ann silhouette stage: {sil_ann_secs:.3} s");
+    };
+    eprintln!("[ann] timing ANN (cache build + scores) vs exact silhouette stage …");
+    let (sil, ann_scores, exact_scores) = paired(PAIRS, ann_stage, exact_stage);
+    let (sil_exact_secs, sil_ann_secs) = (sil.b_median(), sil.a_median());
+    eprintln!("[ann] silhouette stage: exact {sil_exact_secs:.3} s, ann {sil_ann_secs:.3} s");
 
     let k_exact = argmax_k(k_min, &exact_scores);
     let k_ann = argmax_k(k_min, &ann_scores);
-    let sil_speedup = sil_exact_secs / sil_ann_secs.max(1e-12);
+    let sil_speedup = sil.ratio();
     let k_delta = k_ann.abs_diff(k_exact);
-    eprintln!(
-        "[ann] silhouette: {sil_speedup:.2}× speedup, k exact {k_exact} vs ann {k_ann} \
-         (gate: |Δk| ≤ 1)"
-    );
+    eprintln!("[ann] silhouette: speedup {sil_speedup}, k exact {k_exact} vs ann {k_ann}");
 
     // ---- Stage 2: constrained greedy assignment -------------------------
     // Absolute size caps make k scale with n: 100k records at ≤ tens per
@@ -218,23 +208,18 @@ fn main() {
     )
     .expect("warm-start kmeans");
 
-    eprintln!("[ann] timing exact assignment pass …");
-    let (exact_pass, assign_exact_secs) = time_once(|| {
-        greedy_assign_pass(&assign_data, &warm.centroids, &base_cfg).expect("exact pass")
-    });
-    eprintln!("[ann] exact assignment pass: {assign_exact_secs:.3} s");
-
     let ann_cfg = ConstrainedConfig {
         ann: policy_ann,
         ..base_cfg
     };
-    eprintln!("[ann] timing ANN assignment pass …");
-    let (ann_pass, assign_ann_secs) = time_once(|| {
-        greedy_assign_pass(&assign_data, &warm.centroids, &ann_cfg).expect("ann pass")
-    });
-    eprintln!("[ann] ann assignment pass: {assign_ann_secs:.3} s");
-    let assign_speedup = assign_exact_secs / assign_ann_secs.max(1e-12);
-    drop(exact_pass);
+    eprintln!("[ann] timing ANN vs exact assignment pass ({PAIRS} pairs) …");
+    let (assign, ann_pass, _) = paired(
+        PAIRS,
+        || greedy_assign_pass(&assign_data, &warm.centroids, &ann_cfg).expect("ann pass"),
+        || greedy_assign_pass(&assign_data, &warm.centroids, &base_cfg).expect("exact pass"),
+    );
+    let (assign_exact_secs, assign_ann_secs) = (assign.b_median(), assign.a_median());
+    let assign_speedup = assign.ratio();
 
     // Capacity bounds on the ANN pass — exact, not approximate.
     let mut sizes = vec![0usize; k_constrained];
@@ -243,7 +228,8 @@ fn main() {
     }
     let bounds_ok = sizes.iter().all(|&s| (min_size..=max_size).contains(&s));
     eprintln!(
-        "[ann] assignment: {assign_speedup:.2}× speedup, ann sizes in [{}, {}] (bounds_ok {bounds_ok})",
+        "[ann] assignment: exact {assign_exact_secs:.3} s, ann {assign_ann_secs:.3} s, speedup \
+         {assign_speedup}; ann sizes in [{}, {}] (bounds_ok {bounds_ok})",
         sizes.iter().min().unwrap(),
         sizes.iter().max().unwrap()
     );
@@ -251,10 +237,10 @@ fn main() {
     // Full Lloyd runs on both routes for the SSE quality gate.
     eprintln!("[ann] full constrained_kmeans, exact route …");
     let (full_exact, full_exact_secs) =
-        time_once(|| constrained_kmeans(&assign_data, base_cfg).expect("exact constrained"));
+        timed(|| constrained_kmeans(&assign_data, base_cfg).expect("exact constrained"));
     eprintln!("[ann] full constrained_kmeans, ANN route …");
     let (full_ann, full_ann_secs) =
-        time_once(|| constrained_kmeans(&assign_data, ann_cfg).expect("ann constrained"));
+        timed(|| constrained_kmeans(&assign_data, ann_cfg).expect("ann constrained"));
     let full_bounds_ok = full_ann
         .sizes
         .iter()
@@ -296,13 +282,13 @@ fn main() {
         .expect("end-to-end run")
     };
     let (f1_exact, e2e_exact_secs) = {
-        let (r, s) = time_once(|| run_once(&config));
+        let (r, s) = timed(|| run_once(&config));
         (r.final_f1().unwrap_or(f64::NAN), s)
     };
     let mut config_ann = config.clone();
     config_ann.experiment.battleship.ann_cluster_threshold = 2;
     let (f1_ann, e2e_ann_secs) = {
-        let (r, s) = time_once(|| run_once(&config_ann));
+        let (r, s) = timed(|| run_once(&config_ann));
         (r.final_f1().unwrap_or(f64::NAN), s)
     };
     let f1_delta = (f1_ann - f1_exact).abs();
@@ -364,12 +350,12 @@ fn main() {
          \"top_m\": {},\n    \"hnsw_m\": {},\n    \"hnsw_ef_search\": {}\n  }},\n  \
          \"kselect_silhouette\": {{\n    \"k_range\": [{k_min}, {k_max}],\n    \
          \"sample\": {sil_sample},\n    \"exact_secs\": {sil_exact_secs:.6},\n    \
-         \"ann_secs\": {sil_ann_secs:.6},\n    \"speedup\": {sil_speedup:.3},\n    \
+         \"ann_secs\": {sil_ann_secs:.6},\n    \"speedup\": {},\n    \
          \"k_exact\": {k_exact},\n    \"k_ann\": {k_ann}\n  }},\n  \
          \"constrained_assignment\": {{\n    \"k\": {k_constrained},\n    \
          \"min_size\": {min_size},\n    \"max_size\": {max_size},\n    \
          \"pass_exact_secs\": {assign_exact_secs:.6},\n    \
-         \"pass_ann_secs\": {assign_ann_secs:.6},\n    \"speedup\": {assign_speedup:.3},\n    \
+         \"pass_ann_secs\": {assign_ann_secs:.6},\n    \"speedup\": {},\n    \
          \"bounds_ok\": {},\n    \"full_exact_secs\": {full_exact_secs:.6},\n    \
          \"full_ann_secs\": {full_ann_secs:.6},\n    \"sse_exact\": {:.3},\n    \
          \"sse_ann\": {:.3},\n    \"sse_ratio\": {sse_ratio:.5}\n  }},\n  \
@@ -384,50 +370,28 @@ fn main() {
         policy_ann.top_m,
         policy_ann.hnsw.m,
         policy_ann.hnsw.ef_search,
+        sil_speedup,
+        assign_speedup,
         bounds_ok && full_bounds_ok,
         full_exact.sse,
         full_ann.sse,
         scenario.name(),
         art.dataset.len(),
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[ann] wrote {out_path}"),
-        Err(e) => eprintln!("[ann] warning: could not write {out_path}: {e}"),
-    }
-
-    let mut failures = Vec::new();
-    if min_speedup > 0.0 && sil_speedup < min_speedup {
-        failures.push(format!(
-            "silhouette stage speedup {sil_speedup:.2}× below {min_speedup:.1}×"
-        ));
-    }
-    if min_speedup > 0.0 && assign_speedup < min_speedup {
-        failures.push(format!(
-            "assignment stage speedup {assign_speedup:.2}× below {min_speedup:.1}×"
-        ));
-    }
-    if k_delta > 1 {
-        failures.push(format!("|Δk| = {k_delta} (exact {k_exact}, ann {k_ann})"));
-    }
-    if !(bounds_ok && full_bounds_ok) {
-        failures.push("ANN route violated capacity bounds".to_string());
-    }
-    if sse_ratio > 1.25 {
-        failures.push(format!("SSE ratio {sse_ratio:.4} above 1.25"));
-    }
+    let mut gates = Gates::default();
+    gates.at_least("silhouette speedup", sil_speedup.median, min_speedup);
+    gates.at_least("assignment speedup", assign_speedup.median, min_speedup);
+    gates.at_most("|Δk|", k_delta as f64, 1.0);
+    gates.require(
+        bounds_ok && full_bounds_ok,
+        "ANN route violated capacity bounds",
+    );
+    gates.at_most("SSE ratio", sse_ratio, 1.25);
     // A NaN Δ (either run produced no F1) must fail the gate too.
-    if f1_delta > f1_tol || f1_delta.is_nan() {
-        failures.push(format!("|ΔF1| = {f1_delta:.2} above {f1_tol}"));
-    }
-    if !golden_ok {
-        failures.push("below-threshold routing not bit-identical".to_string());
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("[ann] FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("[ann] PASS");
+    gates.require(
+        f1_delta <= f1_tol,
+        format!("|ΔF1| = {f1_delta:.2} above {f1_tol}"),
+    );
+    gates.require(golden_ok, "below-threshold routing not bit-identical");
+    gates.finish("ann", &out_path, &json);
 }

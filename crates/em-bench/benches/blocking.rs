@@ -17,17 +17,17 @@
 //! The headline measurement then runs a 10⁵-record pool through the LSH
 //! tier via `Scenario::candidate_pool` — the exhaustive matrix (beyond
 //! the 2²⁴ materialization cap) never exists — and records throughput
-//! (candidate pairs/sec), recall and reduction ratio. A smaller pool is
-//! warmed up untimed, then timed both parallel and under
-//! `rayon::serial_scope` for the thread-aware speedup gate (≥ 2.5×
-//! with ≥ 4 worker threads, ≥ 1.5× with 2–3, and a ≥ 0.97×
-//! no-regression bound on one thread, where both paths run the same
-//! inline code).
+//! (candidate pairs/sec, from one call), recall and reduction ratio. A
+//! smaller pool is timed parallel against `rayon::serial_scope` in 5
+//! alternating pairs ([`em_bench::timing::paired`]) for the
+//! thread-aware speedup gate on their median (≥ 2.5× with ≥ 4 worker
+//! threads, ≥ 1.5× with 2–3, and a ≥ 0.97× no-regression bound on one
+//! thread, where both paths run the same inline code).
 //!
 //! Finally, the `ann_cluster_threshold` sweep times
 //! `em_graph::build_graph_blocked` on single clusters of doubling sizes
-//! with ANN routing disabled vs forced, and reports the measured
-//! exact→ANN crossover; the committed default in
+//! with ANN routing disabled vs forced, one pair per size, and reports
+//! the measured exact→ANN crossover; the committed default in
 //! `battleship::config` cites this table.
 //!
 //! Knobs (environment):
@@ -43,20 +43,25 @@
 //! * `EM_BENCH_BLOCKING_MIN_SPEEDUP` — override the thread-aware gate
 //!   (set 0 to only report);
 //! * `EM_BENCH_BLOCKING_SWEEP_SIZES` — comma-separated cluster sizes
-//!   for the ANN sweep (default `2048,4096,8192,16384`; empty skips);
+//!   for the ANN sweep (default `2048,4096,8192,16384`; empty skips, a
+//!   malformed entry panics);
 //! * `EM_BENCH_BLOCKING_OUT` — output JSON path (default
 //!   `BENCH_blocking.json`);
 //! * `RAYON_NUM_THREADS` — worker threads.
 
 use std::collections::HashSet;
-use std::io::Write as _;
 
 use battleship::{block_tables, BlockingSpec, LshBlocking, Scenario, MAX_EXHAUSTIVE_PAIRS};
-use em_bench::env_or;
+use em_bench::gate::{thread_aware, Gates};
+use em_bench::timing::{paired, timed};
+use em_bench::{env_or, parse_list};
 use em_core::Rng;
 use em_graph::{build_graph_blocked, BlockedConfig, EdgeConfig, NodeKind};
 use em_synth::{blocking_recall, generate_pool, BlockingConfig, DatasetProfile, PoolProfile};
 use em_vector::Embeddings;
+
+/// Alternating parallel/serial pairs behind the speedup.
+const PAIRS: usize = 5;
 
 /// One row of the ANN-threshold sweep.
 struct SweepRow {
@@ -136,14 +141,9 @@ fn main() {
     eprintln!("[blocking] headline pool ({records} records) through the LSH tier …");
     let headline = Scenario::pool(PoolProfile::products("bench-pool", records), 0xDA7A)
         .with_blocking(lsh_spec.clone());
-    let mut pool = None;
-    let headline_stats = criterion::measure(1, || {
-        pool = Some(headline.candidate_pool().expect("candidate pool"));
-    });
-    let pool = pool.expect("measured at least once");
+    let (pool, headline_secs) = timed(|| headline.candidate_pool().expect("candidate pool"));
     let stats = pool.blocking.stats;
     let headline_recall = blocking_recall(&pool.blocking.candidates, &pool.true_matches);
-    let headline_secs = headline_stats.median_secs;
     let pairs_per_sec = stats.n_candidates as f64 / headline_secs.max(1e-12);
     assert!(
         stats.exhaustive_pairs > MAX_EXHAUSTIVE_PAIRS,
@@ -161,39 +161,17 @@ fn main() {
     eprintln!("[blocking] speedup pool ({speedup_records} records): parallel vs pinned serial …");
     let speedup_profile = PoolProfile::products("bench-speedup", speedup_records);
     let sp_pool = generate_pool(&speedup_profile, &mut Rng::seed_from_u64(0x5EED)).unwrap();
-    // Untimed warmup so neither side pays first-touch page faults and
-    // allocator growth — the earlier parallel-first ordering charged all
-    // of that to the parallel measurement and recorded a phantom 0.909×
-    // "regression" at one thread.
-    block_tables(&sp_pool.left, &sp_pool.right, &lsh_spec).unwrap();
-    let parallel = criterion::measure(2, || {
-        block_tables(&sp_pool.left, &sp_pool.right, &lsh_spec).unwrap()
-    });
-    let serial = rayon::serial_scope(|| {
-        criterion::measure(2, || {
-            block_tables(&sp_pool.left, &sp_pool.right, &lsh_spec).unwrap()
-        })
-    });
-    let speedup = serial.median_secs / parallel.median_secs.max(1e-12);
+    let block = || block_tables(&sp_pool.left, &sp_pool.right, &lsh_spec).unwrap();
+    let (speedup_timings, _, _) = paired(PAIRS, block, || rayon::serial_scope(block));
+    let speedup = speedup_timings.ratio();
     let min_speedup: f64 = env_or(
         "EM_BENCH_BLOCKING_MIN_SPEEDUP",
-        if threads >= 4 {
-            2.5
-        } else if threads >= 2 {
-            1.5
-        } else {
-            0.97
-        },
+        thread_aware(threads, 2.5, 1.5, 0.97),
     );
-    eprintln!(
-        "[blocking] speedup: {speedup:.2}× with {threads} thread(s) (gate: ≥ {min_speedup:.2}×)"
-    );
+    eprintln!("[blocking] speedup: {speedup} with {threads} thread(s) (gate: ≥ {min_speedup})");
 
     // --- ann_cluster_threshold sweep: exact vs ANN per cluster size. -----
-    let sizes: Vec<usize> = sweep_sizes
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
+    let sizes: Vec<usize> = parse_list("EM_BENCH_BLOCKING_SWEEP_SIZES", &sweep_sizes);
     let mut sweep: Vec<SweepRow> = Vec::new();
     for &size in &sizes {
         eprintln!("[blocking] ANN sweep: cluster of {size} …");
@@ -219,7 +197,7 @@ fn main() {
         let confidences: Vec<f32> = (0..size).map(|_| rng.f32()).collect();
         let clusters = vec![(0..size).collect::<Vec<usize>>()];
         let edge = EdgeConfig::default();
-        let exact = criterion::measure(1, || {
+        let build = |ann_threshold| {
             build_graph_blocked(
                 &emb,
                 &kinds,
@@ -227,34 +205,19 @@ fn main() {
                 &clusters,
                 &BlockedConfig {
                     edge,
-                    ann_threshold: usize::MAX,
+                    ann_threshold,
                     ann_seed: 0xA22_0E55,
                 },
             )
-            .expect("exact graph")
-        });
-        let ann = criterion::measure(1, || {
-            build_graph_blocked(
-                &emb,
-                &kinds,
-                &confidences,
-                &clusters,
-                &BlockedConfig {
-                    edge,
-                    ann_threshold: 2,
-                    ann_seed: 0xA22_0E55,
-                },
-            )
-            .expect("ann graph")
-        });
-        eprintln!(
-            "[blocking]   exact {:.3} s, ann {:.3} s",
-            exact.median_secs, ann.median_secs
-        );
+            .expect("graph")
+        };
+        let (timings, _, _) = paired(1, || build(usize::MAX), || build(2));
+        let (exact_secs, ann_secs) = (timings.a_median(), timings.b_median());
+        eprintln!("[blocking]   exact {exact_secs:.3} s, ann {ann_secs:.3} s");
         sweep.push(SweepRow {
             cluster_size: size,
-            exact_secs: exact.median_secs,
-            ann_secs: ann.median_secs,
+            exact_secs,
+            ann_secs,
         });
     }
     let crossover = sweep
@@ -287,7 +250,7 @@ fn main() {
          \"recall_token\": {anchor_recall_token:.6}\n  }},\n  \
          \"speedup\": {{\n    \"records\": {speedup_records},\n    \
          \"serial_median_secs\": {:.6},\n    \"parallel_median_secs\": {:.6},\n    \
-         \"speedup\": {speedup:.3},\n    \"min_speedup_gate\": {min_speedup}\n  }},\n  \
+         \"speedup\": {},\n    \"min_speedup_gate\": {min_speedup}\n  }},\n  \
          \"gates\": {{\"min_recall\": {min_recall}, \"min_reduction\": {min_reduction}}},\n  \
          \"ann_threshold_sweep\": [\n{}\n  ],\n  \"ann_crossover_cluster_size\": {}\n}}\n",
         stats.n_left + stats.n_right,
@@ -299,42 +262,23 @@ fn main() {
         pairs_per_sec,
         headline_recall,
         stats.reduction_ratio,
-        serial.median_secs,
-        parallel.median_secs,
+        speedup_timings.b_median(),
+        speedup_timings.a_median(),
+        speedup,
         sweep_json.join(",\n"),
         crossover.map_or("null".to_string(), |c| c.to_string()),
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[blocking] wrote {out_path}"),
-        Err(e) => eprintln!("[blocking] warning: could not write {out_path}: {e}"),
-    }
 
     // --- Gates. -----------------------------------------------------------
-    let mut failed = false;
+    let mut gates = Gates::default();
     for (name, recall) in [
         ("anchor lsh", anchor_recall_lsh),
         ("anchor token", anchor_recall_token),
         ("headline lsh", headline_recall),
     ] {
-        if recall < min_recall {
-            eprintln!("[blocking] FAIL: {name} recall {recall:.4} below the {min_recall} gate");
-            failed = true;
-        }
+        gates.at_least(&format!("{name} recall"), recall, min_recall);
     }
-    if stats.reduction_ratio < min_reduction {
-        eprintln!(
-            "[blocking] FAIL: reduction ratio {:.4} below the {min_reduction} gate",
-            stats.reduction_ratio
-        );
-        failed = true;
-    }
-    if min_speedup > 0.0 && speedup < min_speedup {
-        eprintln!("[blocking] FAIL: speedup {speedup:.2}× below the {min_speedup:.2}× gate");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("[blocking] PASS");
+    gates.at_least("reduction ratio", stats.reduction_ratio, min_reduction);
+    gates.at_least("speedup (×)", speedup.median, min_speedup);
+    gates.finish("blocking", &out_path, &json);
 }

@@ -34,42 +34,20 @@
 //! * `EM_BENCH_CHAOS_SEED` — fault-plan seed (default 0xC4A05);
 //! * `EM_BENCH_CHAOS_OUT` — output JSON path (default `BENCH_chaos.json`);
 //! * `EM_BENCH_CHAOS_MIN_TRANSIENT_PCT` — override the ≥ 5 % observed
-//!   transient-rate gate (set < 0 to only report).
+//!   transient-rate gate (set 0 to only report).
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use battleship::api::{
     ArtifactCache, DirBackend, Fault, FaultPlan, FaultyBackend, MemoryBackend, Scenario,
-    SessionConfig, SessionStore, SnapshotCodec,
+    SessionStore, SnapshotCodec,
 };
 use battleship::ExperimentConfig;
 use em_bench::env_or;
-use em_bench::store::{answer_batches, drive_to_done, session_plan, PlannedSession};
+use em_bench::gate::Gates;
+use em_bench::store::{answer_batches, drive_to_done, populate, session_plan};
 use em_synth::DatasetProfile;
-
-fn populate(
-    store: &SessionStore,
-    scenario: &Scenario,
-    config: &ExperimentConfig,
-    plan: &[PlannedSession],
-) {
-    store.register_scenario(scenario.clone());
-    for (id, strategy, seed) in plan {
-        store
-            .create(
-                id,
-                scenario.name(),
-                SessionConfig {
-                    experiment: config.clone(),
-                    strategy: *strategy,
-                    seed: *seed,
-                },
-            )
-            .expect("create session");
-    }
-}
 
 fn main() {
     let scale: f64 = env_or("EM_BENCH_CHAOS_SCALE", 0.05);
@@ -226,53 +204,36 @@ fn main() {
         recovery.lost.len(),
         mismatched.len(),
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[chaos] wrote {out_path}"),
-        Err(e) => eprintln!("[chaos] warning: could not write {out_path}: {e}"),
-    }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut failed = false;
-    if !mismatched.is_empty() {
-        eprintln!(
-            "[chaos] FAIL: {} session(s) diverged from the fault-free run: {:?}",
-            mismatched.len(),
-            mismatched
-        );
-        failed = true;
-    }
-    if min_transient_pct >= 0.0 && transient_pct < min_transient_pct {
-        eprintln!(
-            "[chaos] FAIL: observed transient rate {transient_pct:.1}% below the \
-             {min_transient_pct:.1}% gate"
-        );
-        failed = true;
-    }
-    if stats.torn_writes < 1 || stats.corruptions < 1 {
-        eprintln!(
-            "[chaos] FAIL: fault quota not met (torn {}, corrupt {}) — need ≥ 1 of each",
+    let mut gates = Gates::default();
+    gates.require(
+        mismatched.is_empty(),
+        format!(
+            "{} session(s) diverged from the fault-free run: {mismatched:?}",
+            mismatched.len()
+        ),
+    );
+    gates.at_least("transient rate (%)", transient_pct, min_transient_pct);
+    gates.require(
+        stats.torn_writes >= 1 && stats.corruptions >= 1,
+        format!(
+            "fault quota not met (torn {}, corrupt {}) — need ≥ 1 of each",
             stats.torn_writes, stats.corruptions
-        );
-        failed = true;
-    }
-    if recovery.quarantined.is_empty() {
-        eprintln!(
-            "[chaos] FAIL: recovery quarantined nothing — the corrupt frame was not exercised"
-        );
-        failed = true;
-    }
-    if recovery.recovered.len() != n_sessions || !recovery.lost.is_empty() {
-        eprintln!(
-            "[chaos] FAIL: recovery restored {}/{} sessions ({} lost)",
+        ),
+    );
+    gates.require(
+        !recovery.quarantined.is_empty(),
+        "recovery quarantined nothing — the corrupt frame was not exercised",
+    );
+    gates.require(
+        recovery.recovered.len() == n_sessions && recovery.lost.is_empty(),
+        format!(
+            "recovery restored {}/{} sessions ({} lost)",
             recovery.recovered.len(),
             n_sessions,
             recovery.lost.len()
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("[chaos] PASS: every session finished bit-identical to the fault-free run");
+        ),
+    );
+    gates.finish("chaos", &out_path, &json);
 }

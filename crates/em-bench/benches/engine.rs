@@ -19,14 +19,14 @@
 //! lose time). Results are written to `BENCH_engine.json` for CI
 //! artifacts.
 //!
-//! A second, paired comparison measures the executor itself: the same
-//! serial strategy loop with the inner kernels free to use the rayon
-//! pool versus pinned to one core. Samples alternate (order swapped
-//! every pair) and the gate is the median of the per-pair ratios, which
-//! cancels drift slower than one pair: **inner parallelism must be at
-//! least as fast as one core (≥ 1.0×) with ≥ 2 worker threads**. With
-//! one thread the two loops are the same code path and there is nothing
-//! to gate.
+//! A second comparison measures the executor itself: the same serial
+//! strategy loop with the inner kernels free to use the rayon pool
+//! versus pinned to one core. **Inner parallelism must be at least as
+//! fast as one core (≥ 1.0×) with ≥ 2 worker threads**. With one thread
+//! the two loops are the same code path and there is nothing to gate.
+//! Each ratio is the median of alternating pairs against the one-core
+//! loop ([`em_bench::timing::paired`]), 5 for the fan-out and 15 for the
+//! inner speedup, which sits near its bound; the artifact has quartiles.
 //!
 //! Knobs (environment):
 //! * `EM_BENCH_ENGINE_SCALE` — dataset scale factor (default 0.1);
@@ -37,15 +37,20 @@
 //!   (set 0 to only report);
 //! * `RAYON_NUM_THREADS` — threads of the rayon pool.
 
-use std::io::Write as _;
-
 use battleship::{
     run_active_learning, ArtifactCache, ExperimentGrid, GridConfig, RunReport, Scenario,
     StrategySpec,
 };
 use em_bench::env_or;
+use em_bench::gate::{thread_aware, Gates};
+use em_bench::timing::paired;
 use em_core::PerfectOracle;
 use em_synth::DatasetProfile;
+
+/// Alternating pairs behind the fan-out speedup.
+const FANOUT_PAIRS: usize = 5;
+/// Alternating pairs behind the inner speedup, which sits near its bound.
+const INNER_PAIRS: usize = 15;
 
 fn main() {
     let scale: f64 = env_or("EM_BENCH_ENGINE_SCALE", 0.1);
@@ -141,70 +146,35 @@ fn main() {
     );
     eprintln!("[engine] golden checks passed");
 
-    // Timing: the serial strategy loop pinned to one core (the fan-out
-    // gate's baseline — one run at a time, nothing parallel anywhere)
-    // against the same loop with the inner kernels on the pool (what the
-    // legacy example actually did on a multi-core host), in alternating
-    // pairs.
+    // Timing: the serial strategy loop pinned to one core (the
+    // baseline of both ratios — one run at a time, nothing parallel
+    // anywhere) against the same loop with the inner kernels on the pool
+    // (what the legacy example actually did on a multi-core host), then
+    // against the engine's grid fan-out over the same runs.
     let threads = rayon::current_num_threads();
-    let time_loop = |one_core: bool| {
-        let measure = || criterion::measure(1, serial_loop).median_secs;
-        if one_core {
-            rayon::serial_scope(measure)
-        } else {
-            measure()
-        }
-    };
-    let mut one_core_samples = Vec::new();
-    let mut inner_samples = Vec::new();
-    let mut ratios = Vec::new();
-    eprintln!("[engine] timing serial strategy loop: one core vs inner parallel (paired) …");
-    for pair in 0..5 {
-        let (one, inner) = if pair % 2 == 0 {
-            let one = time_loop(true);
-            (one, time_loop(false))
-        } else {
-            let inner = time_loop(false);
-            (time_loop(true), inner)
-        };
-        eprintln!("[engine]   pair {pair}: one core {one:.3} s, inner parallel {inner:.3} s");
-        ratios.push(one / inner.max(1e-12));
-        one_core_samples.push(one);
-        inner_samples.push(inner);
-    }
-    let median = |xs: &mut Vec<f64>| {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs[xs.len() / 2]
-    };
-    let serial_one_core = median(&mut one_core_samples);
-    let serial_inner_parallel = median(&mut inner_samples);
-    let inner_speedup = median(&mut ratios);
+    let one_core_loop = || rayon::serial_scope(serial_loop);
+    eprintln!("[engine] timing inner parallel vs one core ({INNER_PAIRS} pairs) …");
+    let (inner, _, _) = paired(INNER_PAIRS, &serial_loop, &one_core_loop);
+    let inner_speedup = inner.ratio();
     // At one thread both loops are the same code path: nothing to gate.
-    let inner_min_speedup = if threads >= 2 { 1.0 } else { 0.0 };
+    let inner_min_speedup = thread_aware(threads, 1.0, 1.0, 0.0);
     eprintln!(
-        "[engine] inner parallel vs one core: {inner_speedup:.2}× (median paired ratio) with \
-         {threads} thread(s) (gate: ≥ {inner_min_speedup:.1}×)"
+        "[engine] inner parallel vs one core: {inner_speedup} with {threads} thread(s) \
+         (gate: ≥ {inner_min_speedup})"
     );
 
-    // … and the engine's grid fan-out over the same runs.
-    eprintln!("[engine] timing parallel grid engine …");
-    let parallel = criterion::measure(3, || grid.run_with_cache(&cache).expect("grid run"));
-    eprintln!("[engine] grid engine: {:.3} s", parallel.median_secs);
-
-    let speedup = serial_one_core / parallel.median_secs.max(1e-12);
+    eprintln!("[engine] timing grid fan-out vs one core ({FANOUT_PAIRS} pairs) …");
+    let (fanout, _, _) = paired(
+        FANOUT_PAIRS,
+        || grid.run_with_cache(&cache).expect("grid run"),
+        &one_core_loop,
+    );
+    let speedup = fanout.ratio();
     let min_speedup: f64 = env_or(
         "EM_BENCH_ENGINE_MIN_SPEEDUP",
-        if threads >= 4 {
-            2.5
-        } else if threads >= 2 {
-            1.2
-        } else {
-            0.9
-        },
+        thread_aware(threads, 2.5, 1.2, 0.9),
     );
-    eprintln!(
-        "[engine] speedup: {speedup:.2}× with {threads} thread(s) (gate: ≥ {min_speedup:.1}×)"
-    );
+    eprintln!("[engine] speedup: {speedup} with {threads} thread(s) (gate: ≥ {min_speedup})");
 
     let battleship_final = grid_report
         .cell(grid.scenarios[0].name(), "battleship")
@@ -216,8 +186,8 @@ fn main() {
          \"iterations\": {},\n  \"budget\": {},\n  \"threads\": {threads},\n  \
          \"serial_one_core_median_secs\": {:.6},\n  \
          \"serial_inner_parallel_median_secs\": {:.6},\n  \"grid_median_secs\": {:.6},\n  \
-         \"speedup\": {:.3},\n  \"min_speedup_gate\": {min_speedup},\n  \
-         \"inner_parallel_speedup\": {:.3},\n  \
+         \"speedup\": {},\n  \"min_speedup_gate\": {min_speedup},\n  \
+         \"inner_parallel_speedup\": {},\n  \
          \"inner_min_speedup_gate\": {inner_min_speedup},\n  \
          \"battleship_final_f1_pct\": {:.3}\n}}\n",
         grid.scenarios[0].name(),
@@ -227,29 +197,15 @@ fn main() {
         n_runs,
         config.experiment.al.iterations,
         config.experiment.al.budget,
-        serial_one_core,
-        serial_inner_parallel,
-        parallel.median_secs,
+        inner.b_median(),
+        inner.a_median(),
+        fanout.a_median(),
         speedup,
         inner_speedup,
         battleship_final,
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[engine] wrote {out_path}"),
-        Err(e) => eprintln!("[engine] warning: could not write {out_path}: {e}"),
-    }
-
-    if min_speedup > 0.0 && speedup < min_speedup {
-        eprintln!("[engine] FAIL: speedup {speedup:.2}× below the {min_speedup:.1}× gate");
-        std::process::exit(1);
-    }
-    if inner_speedup < inner_min_speedup {
-        eprintln!(
-            "[engine] FAIL: inner parallelism {inner_speedup:.2}× of one core, below the \
-             {inner_min_speedup:.1}× gate"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("[engine] PASS");
+    let mut gates = Gates::default();
+    gates.at_least("fan-out speedup", speedup.median, min_speedup);
+    gates.at_least("inner speedup", inner_speedup.median, inner_min_speedup);
+    gates.finish("engine", &out_path, &json);
 }

@@ -21,9 +21,8 @@
 //! * `EM_BENCH_KERNEL_MIN_SPEEDUP` — override the ≥ 1.5× gate (set 0 to
 //!   only report).
 
-use std::io::Write as _;
-
 use em_bench::env_or;
+use em_bench::gate::Gates;
 use em_vector::{gemm, kernel, simd_tier, with_simd_tier, SimdTier};
 
 /// Deterministic xorshift fill in [-1, 1) — no ambient randomness.
@@ -201,18 +200,10 @@ fn main() {
             format!("{gemm_speedup:.3}")
         },
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[kernel] wrote {out_path}"),
-        Err(e) => eprintln!("[kernel] warning: could not write {out_path}: {e}"),
+    let mut gates = Gates::default();
+    if avx512_present {
+        gates.at_least("avx512 dot speedup vs avx2 (×)", dot_speedup, min_speedup);
+        gates.at_least("avx512 gemm speedup vs avx2 (×)", gemm_speedup, min_speedup);
     }
-
-    if gate == "enforced" && (dot_speedup < min_speedup || gemm_speedup < min_speedup) {
-        eprintln!(
-            "[kernel] FAIL: avx512 speedup (dot {dot_speedup:.2}×, gemm {gemm_speedup:.2}×) \
-             below the {min_speedup:.1}× gate"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("[kernel] PASS");
+    gates.finish("kernel", &out_path, &json);
 }

@@ -17,9 +17,11 @@
 //! baseline ([`em_matcher::train_matcher_reference`] +
 //! [`em_matcher::predict_reference`]) by ≥ 3× **on one core** (the
 //! batched timing runs under `rayon::serial_scope`, so the gate measures
-//! the kernel engine, not thread count). The parallel timing is reported
-//! alongside. Results are written to `BENCH_matcher.json` for CI
-//! artifacts, together with an end-to-end `run_active_learning`
+//! the kernel engine, not thread count), as the median of 5 alternating
+//! pairs ([`em_bench::timing::paired`]). The batched engine on every
+//! thread against one core is reported alongside, paired the same way.
+//! Results are written to `BENCH_matcher.json` for CI artifacts,
+//! quartiles included, together with an end-to-end `run_active_learning`
 //! wall-clock (2 iterations, amazon_google-scaled profile) so future
 //! PRs can track whole-iteration latency, not just subsystem speedups.
 //!
@@ -35,9 +37,6 @@
 //! * `RAYON_NUM_THREADS` — worker threads for the parallel timing (the
 //!   gate itself is single-threaded by construction).
 
-use std::io::Write as _;
-use std::time::Instant;
-
 use battleship::{run_active_learning, BattleshipStrategy, ExperimentConfig};
 use em_core::{Label, PerfectOracle, Rng};
 use em_matcher::{
@@ -48,6 +47,11 @@ use em_synth::{generate, DatasetProfile};
 use em_vector::{Embeddings, SparseRows};
 
 use em_bench::env_or;
+use em_bench::gate::Gates;
+use em_bench::timing::{paired, timed, Paired};
+
+/// Alternating pairs behind each ratio.
+const PAIRS: usize = 5;
 
 /// Two-blob synthetic matching task: rows of class 1 cluster around one
 /// center, class 0 around another, with enough overlap that training
@@ -83,21 +87,12 @@ struct Task {
     valid_n: usize,
 }
 
-/// Median seconds of the scalar baseline, the batched engine on one
-/// core and the batched engine on every thread.
+/// One task's pairs: the gated one-core batched engine (A) against the
+/// scalar baseline (B), and the batched engine on every thread (A)
+/// against one core (B).
 struct Timings {
-    scalar: f64,
-    serial: f64,
-    parallel: f64,
-}
-
-impl Timings {
-    fn speedup(&self) -> f64 {
-        self.scalar / self.serial.max(1e-12)
-    }
-    fn speedup_parallel(&self) -> f64 {
-        self.scalar / self.parallel.max(1e-12)
-    }
+    gated: Paired,
+    pool: Paired,
 }
 
 /// Golden-check then time one task.
@@ -151,8 +146,16 @@ fn time_task(name: &str, task: &Task, config: &MatcherConfig) -> Timings {
         probe.best_valid_f1
     );
 
-    // The seed-verbatim scalar baseline (inherently one core).
-    let scalar = criterion::measure(3, || {
+    // The batched engine pinned to one core — the gate compares kernel
+    // engines, not thread counts — against the seed-verbatim scalar
+    // baseline (inherently one core), then on every thread against one
+    // core.
+    let batched = || {
+        train()
+            .predict(features, &all_idx)
+            .expect("batched predict")
+    };
+    let scalar = || {
         let m = train_matcher_reference(
             features,
             &train_idx,
@@ -163,36 +166,18 @@ fn time_task(name: &str, task: &Task, config: &MatcherConfig) -> Timings {
         )
         .expect("reference training");
         predict_reference(&m, features, &all_idx).expect("reference predict")
-    });
-    // The batched engine pinned to one core — the gate compares kernel
-    // engines, not thread counts — then on every thread.
-    let serial = rayon::serial_scope(|| {
-        criterion::measure(3, || {
-            train()
-                .predict(features, &all_idx)
-                .expect("batched predict")
-        })
-    });
-    let parallel = criterion::measure(5, || {
-        train()
-            .predict(features, &all_idx)
-            .expect("batched predict")
-    });
-    let timings = Timings {
-        scalar: scalar.median_secs,
-        serial: serial.median_secs,
-        parallel: parallel.median_secs,
     };
+    let (gated, _, _) = rayon::serial_scope(|| paired(PAIRS, batched, scalar));
+    let (pool, _, _) = paired(PAIRS, batched, || rayon::serial_scope(batched));
     eprintln!(
         "[matcher] {name}: scalar {:.3} s, batched {:.3} s (1 core) / {:.3} s (parallel): \
-         {:.2}× / {:.2}×",
-        timings.scalar,
-        timings.serial,
-        timings.parallel,
-        timings.speedup(),
-        timings.speedup_parallel()
+         one-core speedup {}",
+        gated.b_median(),
+        gated.a_median(),
+        pool.a_median(),
+        gated.ratio()
     );
-    timings
+    Timings { gated, pool }
 }
 
 /// Share of nonzero entries over a task's rows.
@@ -252,12 +237,12 @@ fn main() {
     };
     let dense = time_task("dense", &dense_task, &config);
     let (density, dense_density) = (task_density(&featurized), task_density(&dense_task));
-    let speedup = sparse.speedup();
     let threads = rayon::current_num_threads();
     eprintln!(
-        "[matcher] gate: {speedup:.2}× (featurized, density {density:.3}) and {:.2}× (dense, \
+        "[matcher] gate: {:.2}× (featurized, density {density:.3}) and {:.2}× (dense, \
          density {dense_density:.3}) one-core (each ≥ {min_speedup:.1}×)",
-        dense.speedup()
+        sparse.gated.ratio().median,
+        dense.gated.ratio().median
     );
 
     // End-to-end iteration latency: a full 2-iteration battleship run on
@@ -276,17 +261,17 @@ fn main() {
     e2e_config.matcher.epochs = 12;
     e2e_config.battleship.kselect_sample = 256;
     let oracle = PerfectOracle::new();
-    let t_e2e = Instant::now();
-    let report = run_active_learning(
-        &dataset,
-        &e2e_features,
-        &mut BattleshipStrategy::new(),
-        &oracle,
-        &e2e_config,
-        1,
-    )
-    .expect("end-to-end run");
-    let e2e_secs = t_e2e.elapsed().as_secs_f64();
+    let (report, e2e_secs) = timed(|| {
+        run_active_learning(
+            &dataset,
+            &e2e_features,
+            &mut BattleshipStrategy::new(),
+            &oracle,
+            &e2e_config,
+            1,
+        )
+        .expect("end-to-end run")
+    });
     let final_f1 = report
         .iterations
         .last()
@@ -306,13 +291,13 @@ fn main() {
          \"train_n\": {},\n  \"valid_n\": {},\n  \"epochs\": {},\n  \
          \"threads\": {threads},\n  \"simd_tier\": \"{}\",\n  \
          \"scalar_median_secs\": {:.6},\n  \"batched_serial_median_secs\": {:.6},\n  \
-         \"batched_parallel_median_secs\": {:.6},\n  \"speedup_one_core\": {:.3},\n  \
-         \"speedup_parallel\": {:.3},\n  \"min_speedup_gate\": {min_speedup},\n  \
+         \"batched_parallel_median_secs\": {:.6},\n  \"speedup_one_core\": {},\n  \
+         \"parallel_vs_one_core\": {},\n  \"min_speedup_gate\": {min_speedup},\n  \
          \"dense_task\": {{\n    \"n\": {},\n    \"dim\": {dim},\n    \
          \"density\": {dense_density:.4},\n    \
          \"scalar_median_secs\": {:.6},\n    \"batched_serial_median_secs\": {:.6},\n    \
          \"batched_parallel_median_secs\": {:.6},\n    \
-         \"speedup_one_core\": {:.3}\n  }},\n  \
+         \"speedup_one_core\": {}\n  }},\n  \
          \"e2e\": {{\n    \"dataset\": \"{}\",\n    \"scale\": 0.06,\n    \"pairs\": {},\n    \
          \"iterations\": {},\n    \"budget\": {},\n    \"wall_secs\": {:.6},\n    \
          \"train_secs\": {:.6},\n    \"select_secs\": {:.6},\n    \"final_f1_pct\": {:.3}\n  }}\n}}\n",
@@ -322,16 +307,16 @@ fn main() {
         featurized.valid_n,
         config.epochs,
         em_vector::simd_tier().name(),
-        sparse.scalar,
-        sparse.serial,
-        sparse.parallel,
-        speedup,
-        sparse.speedup_parallel(),
+        sparse.gated.b_median(),
+        sparse.gated.a_median(),
+        sparse.pool.a_median(),
+        sparse.gated.ratio(),
+        sparse.pool.ratio(),
         dense_task.features.len(),
-        dense.scalar,
-        dense.serial,
-        dense.parallel,
-        dense.speedup(),
+        dense.gated.b_median(),
+        dense.gated.a_median(),
+        dense.pool.a_median(),
+        dense.gated.ratio(),
         dataset.name,
         dataset.len(),
         e2e_config.al.iterations,
@@ -341,20 +326,10 @@ fn main() {
         e2e_select_secs,
         final_f1,
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[matcher] wrote {out_path}"),
-        Err(e) => eprintln!("[matcher] warning: could not write {out_path}: {e}"),
-    }
-
+    let mut gates = Gates::default();
     for (name, task) in [("featurized", &sparse), ("dense", &dense)] {
-        if min_speedup > 0.0 && task.speedup() < min_speedup {
-            eprintln!(
-                "[matcher] FAIL: {name} speedup {:.2}× below the {min_speedup:.1}× gate",
-                task.speedup()
-            );
-            std::process::exit(1);
-        }
+        let speedup = task.gated.ratio().median;
+        gates.at_least(&format!("{name} speedup"), speedup, min_speedup);
     }
-    eprintln!("[matcher] PASS");
+    gates.finish("matcher", &out_path, &json);
 }

@@ -13,13 +13,14 @@
 //!    ≥ 4 threads** (≥ 1.1× on 2–3, ≥ 0.9× no-regression on 1).
 //! 3. **Checkpoint gate**: checkpointing every session (binary codec →
 //!    in-memory backend) after every step round costs **≤ 10 %**
-//!    wall-clock over the checkpoint-free drive (the median of paired
-//!    samples that alternate the two drives) — persistence must be
+//!    wall-clock over the checkpoint-free drive — persistence must be
 //!    cheap enough to run continuously. The golden check above also
 //!    runs one full crash-recovery reload (fresh store over the same
 //!    backend, `recover()`, finish).
 //!
-//! Results are written to `BENCH_serve.json` for CI artifacts.
+//! Each ratio is the median of alternating pairs, 7 for the speedup and
+//! 15 for the overhead, which sits nearer its bound; `BENCH_serve.json`
+//! carries them with their quartiles for CI artifacts.
 //!
 //! Knobs (environment):
 //! * `EM_BENCH_SERVE_SCALE` — dataset scale factor (default 0.06);
@@ -29,20 +30,22 @@
 //!   (set 0 to only report);
 //! * `EM_BENCH_SERVE_MAX_CKPT_OVERHEAD_PCT` — override the ≤ 10 %
 //!   checkpoint/restore gate (set < 0 to only report);
-//! * `EM_BENCH_SERVE_SAMPLES` — samples per median, and plain /
-//!   checkpointed pairs (default 5);
 //! * `RAYON_NUM_THREADS` — worker threads for the fan-out.
 
-use std::io::Write as _;
 use std::sync::Arc;
 
-use battleship::api::{
-    ArtifactCache, MemoryBackend, Scenario, SessionConfig, SessionStore, SnapshotCodec,
-};
+use battleship::api::{ArtifactCache, MemoryBackend, Scenario, SessionStore, SnapshotCodec};
 use battleship::ExperimentConfig;
 use em_bench::env_or;
+use em_bench::gate::{thread_aware, Gates};
 use em_bench::store::{answer_batches, drive_to_done, session_plan, PlannedSession};
+use em_bench::timing::paired;
 use em_synth::DatasetProfile;
+
+/// Alternating parallel/serial pairs behind the speedup.
+const SPEEDUP_PAIRS: usize = 7;
+/// Alternating plain/checkpointed pairs behind the overhead.
+const CHECKPOINT_PAIRS: usize = 15;
 
 /// Build a fresh store over `backend` and populate it with the session
 /// plan.
@@ -54,20 +57,7 @@ fn populate(
     plan: &[PlannedSession],
 ) -> SessionStore {
     let store = SessionStore::with_cache(Box::new(backend), SnapshotCodec::Binary, cache);
-    store.register_scenario(scenario.clone());
-    for (id, strategy, seed) in plan {
-        store
-            .create(
-                id,
-                scenario.name(),
-                SessionConfig {
-                    experiment: config.clone(),
-                    strategy: *strategy,
-                    seed: *seed,
-                },
-            )
-            .expect("create session");
-    }
+    em_bench::store::populate(&store, scenario, config, plan);
     store
 }
 
@@ -75,7 +65,6 @@ fn main() {
     let scale: f64 = env_or("EM_BENCH_SERVE_SCALE", 0.06);
     let n_sessions: usize = env_or("EM_BENCH_SERVE_SESSIONS", 32);
     let out_path: String = env_or("EM_BENCH_SERVE_OUT", "BENCH_serve.json".to_string());
-    let samples: usize = env_or("EM_BENCH_SERVE_SAMPLES", 5).max(1);
     let max_ckpt_overhead_pct: f64 = env_or("EM_BENCH_SERVE_MAX_CKPT_OVERHEAD_PCT", 10.0);
 
     let mut config = ExperimentConfig::low_resource(2, 20);
@@ -146,68 +135,31 @@ fn main() {
     }
     eprintln!("[serve] golden checks passed");
 
-    // Timing: serial stepping pinned to one core …
-    eprintln!("[serve] timing serial store stepping (one core) …");
-    let serial = rayon::serial_scope(|| {
-        criterion::measure(samples, || drive_to_done(&fresh_store(), &plan, false))
-    });
-    eprintln!("[serve] serial stepping: {:.3} s", serial.median_secs);
-
-    // … versus the rayon fan-out, plain and with continuous
-    // checkpointing, in alternating pairs (the order swaps every pair)
-    // so the host's drift cannot land on one side of the overhead.
-    eprintln!("[serve] timing parallel drive, plain vs per-round checkpoint_all (paired) …");
-    let time_drive = |checkpoint_each_round: bool| {
-        criterion::measure(1, || {
-            drive_to_done(&fresh_store(), &plan, checkpoint_each_round)
-        })
-        .median_secs
-    };
-    let mut plain_samples = Vec::with_capacity(samples);
-    let mut checkpointed_samples = Vec::with_capacity(samples);
-    let mut overheads = Vec::with_capacity(samples);
-    for pair in 0..samples {
-        let (plain, checkpointed) = if pair % 2 == 0 {
-            let plain = time_drive(false);
-            (plain, time_drive(true))
-        } else {
-            let checkpointed = time_drive(true);
-            (time_drive(false), checkpointed)
-        };
-        eprintln!(
-            "[serve]   pair {pair}: plain {plain:.3} s, with checkpoints {checkpointed:.3} s"
-        );
-        overheads.push(100.0 * (checkpointed / plain.max(1e-12) - 1.0));
-        plain_samples.push(plain);
-        checkpointed_samples.push(checkpointed);
-    }
-    let median = |xs: &mut Vec<f64>| {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs[xs.len() / 2]
-    };
-    let parallel_median_secs = median(&mut plain_samples);
-    let checkpointed_median_secs = median(&mut checkpointed_samples);
-    let ckpt_overhead_pct = median(&mut overheads);
-    eprintln!(
-        "[serve] parallel stepping: {parallel_median_secs:.3} s; with checkpoints: \
-         {checkpointed_median_secs:.3} s"
-    );
-
+    // Timing: the rayon fan-out against serial stepping pinned to one
+    // core, then plain against continuous checkpointing.
     let threads = rayon::current_num_threads();
-    let speedup = serial.median_secs / parallel_median_secs.max(1e-12);
+    let drive =
+        |checkpoint_each_round: bool| drive_to_done(&fresh_store(), &plan, checkpoint_each_round);
+    eprintln!("[serve] timing parallel vs one-core store stepping ({SPEEDUP_PAIRS} pairs) …");
+    let (fanout, _, _) = paired(
+        SPEEDUP_PAIRS,
+        || drive(false),
+        || rayon::serial_scope(|| drive(false)),
+    );
+    let speedup = fanout.ratio();
+    eprintln!(
+        "[serve] timing parallel drive, plain vs per-round checkpoint_all \
+         ({CHECKPOINT_PAIRS} pairs) …"
+    );
+    let (checkpointing, _, _) = paired(CHECKPOINT_PAIRS, || drive(false), || drive(true));
+    let ckpt_overhead = checkpointing.ratio().overhead_pct();
     let min_speedup: f64 = env_or(
         "EM_BENCH_SERVE_MIN_SPEEDUP",
-        if threads >= 4 {
-            2.0
-        } else if threads >= 2 {
-            1.1
-        } else {
-            0.9
-        },
+        thread_aware(threads, 2.0, 1.1, 0.9),
     );
     eprintln!(
-        "[serve] speedup: {speedup:.2}× with {threads} thread(s) (gate: ≥ {min_speedup:.1}×); \
-         checkpoint overhead: {ckpt_overhead_pct:+.2}% (gate: ≤ {max_ckpt_overhead_pct:.1}%)"
+        "[serve] speedup: {speedup} with {threads} thread(s) (gate: ≥ {min_speedup}); \
+         checkpoint overhead %: {ckpt_overhead} (gate: ≤ {max_ckpt_overhead_pct})"
     );
 
     let json = format!(
@@ -215,8 +167,8 @@ fn main() {
          \"pairs\": {},\n  \"sessions\": {},\n  \"iterations\": {},\n  \"budget\": {},\n  \
          \"codec\": \"{}\",\n  \"threads\": {threads},\n  \
          \"serial_median_secs\": {:.6},\n  \"parallel_median_secs\": {:.6},\n  \
-         \"checkpointed_median_secs\": {:.6},\n  \"speedup\": {:.3},\n  \
-         \"min_speedup_gate\": {min_speedup},\n  \"checkpoint_overhead_pct\": {:.3},\n  \
+         \"checkpointed_median_secs\": {:.6},\n  \"speedup\": {},\n  \
+         \"min_speedup_gate\": {min_speedup},\n  \"checkpoint_overhead_pct\": {},\n  \
          \"max_checkpoint_overhead_pct_gate\": {max_ckpt_overhead_pct}\n}}\n",
         scenario.name(),
         art.dataset.len(),
@@ -224,34 +176,20 @@ fn main() {
         config.al.iterations,
         config.al.budget,
         SnapshotCodec::Binary.name(),
-        serial.median_secs,
-        parallel_median_secs,
-        checkpointed_median_secs,
+        fanout.b_median(),
+        checkpointing.a_median(),
+        checkpointing.b_median(),
         speedup,
-        ckpt_overhead_pct,
+        ckpt_overhead,
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[serve] wrote {out_path}"),
-        Err(e) => eprintln!("[serve] warning: could not write {out_path}: {e}"),
-    }
-
-    let mut failed = false;
-    if min_speedup > 0.0 && speedup < min_speedup {
-        eprintln!("[serve] FAIL: speedup {speedup:.2}× below the {min_speedup:.1}× gate");
-        failed = true;
-    }
-    if max_ckpt_overhead_pct >= 0.0 && ckpt_overhead_pct > max_ckpt_overhead_pct {
-        eprintln!(
-            "[serve] FAIL: checkpoint overhead {ckpt_overhead_pct:.2}% above the \
-             {max_ckpt_overhead_pct:.1}% gate"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("[serve] PASS");
+    let mut gates = Gates::default();
+    gates.at_least("fan-out speedup (×)", speedup.median, min_speedup);
+    gates.at_most(
+        "checkpoint overhead (%)",
+        ckpt_overhead.median,
+        max_ckpt_overhead_pct,
+    );
+    gates.finish("serve", &out_path, &json);
 }
 
 /// A new store over an existing backend, recovered from its snapshots.

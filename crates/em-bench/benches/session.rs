@@ -9,8 +9,10 @@
 //! closed loop for every strategy, and the gate bounds the step
 //! machinery's wall-clock overhead at **≤ 5 %** on the battleship run
 //! (both paths pinned to one core under `rayon::serial_scope`, so the
-//! comparison measures the loop plumbing, not scheduler noise).
-//! Results are written to `BENCH_session.json` for CI artifacts.
+//! comparison measures the loop plumbing, not scheduler noise), as the
+//! median of 41 alternating pairs: a drive takes ~0.1 s, and fewer pairs
+//! let host noise reach the bound. Results, quartiles included, are
+//! written to `BENCH_session.json` for CI artifacts.
 //!
 //! Knobs (environment):
 //! * `EM_BENCH_SESSION_SCALE` — dataset scale factor (default 0.1);
@@ -18,21 +20,22 @@
 //!   `BENCH_session.json`);
 //! * `EM_BENCH_SESSION_MAX_OVERHEAD_PCT` — override the ≤ 5 % gate
 //!   (set < 0 to only report; CI relaxes it to absorb shared-runner
-//!   noise on a second-scale workload);
-//! * `EM_BENCH_SESSION_SAMPLES` — samples per median (default 5).
-
-use std::io::Write as _;
+//!   noise on a second-scale workload).
 
 use battleship::api::{MatchSession, PerfectOracle, SessionConfig};
 use battleship::{run_active_learning, run_closed_loop, ExperimentConfig, Scenario, StrategySpec};
 use em_bench::env_or;
+use em_bench::gate::Gates;
+use em_bench::timing::paired;
 use em_synth::DatasetProfile;
+
+/// Alternating closed/session pairs behind the overhead.
+const PAIRS: usize = 41;
 
 fn main() {
     let scale: f64 = env_or("EM_BENCH_SESSION_SCALE", 0.1);
     let out_path: String = env_or("EM_BENCH_SESSION_OUT", "BENCH_session.json".to_string());
     let max_overhead_pct: f64 = env_or("EM_BENCH_SESSION_MAX_OVERHEAD_PCT", 5.0);
-    let samples: usize = env_or("EM_BENCH_SESSION_SAMPLES", 5);
 
     let mut config = ExperimentConfig::default();
     config.al.budget = 40;
@@ -108,42 +111,25 @@ fn main() {
     };
 
     // Timing, both paths pinned to one core for a stable ratio.
-    eprintln!("[session] timing closed loop (one core) …");
-    let closed = rayon::serial_scope(|| criterion::measure(samples, closed_run));
-    eprintln!("[session] closed loop: {:.3} s", closed.median_secs);
-    eprintln!("[session] timing session driver (one core) …");
-    let session = rayon::serial_scope(|| criterion::measure(samples, session_run));
-    eprintln!("[session] session driver: {:.3} s", session.median_secs);
-
-    let overhead_pct = 100.0 * (session.median_secs / closed.median_secs.max(1e-12) - 1.0);
-    eprintln!(
-        "[session] step-driven overhead: {overhead_pct:+.2}% (gate: ≤ {max_overhead_pct:.1}%)"
-    );
+    eprintln!("[session] timing closed loop vs session driver (one core, {PAIRS} pairs) …");
+    let (timings, _, _) = rayon::serial_scope(|| paired(PAIRS, closed_run, session_run));
+    let overhead = timings.ratio().overhead_pct();
+    eprintln!("[session] step-driven overhead %: {overhead} (gate: ≤ {max_overhead_pct})");
 
     let json = format!(
         "{{\n  \"bench\": \"session API step overhead\",\n  \"scenario\": \"{}\",\n  \
          \"pairs\": {},\n  \"iterations\": {},\n  \"budget\": {},\n  \
          \"closed_loop_median_secs\": {:.6},\n  \"session_median_secs\": {:.6},\n  \
-         \"overhead_pct\": {:.3},\n  \"max_overhead_pct_gate\": {max_overhead_pct}\n}}\n",
+         \"overhead_pct\": {},\n  \"max_overhead_pct_gate\": {max_overhead_pct}\n}}\n",
         scenario.name(),
         art.dataset.len(),
         config.al.iterations,
         config.al.budget,
-        closed.median_secs,
-        session.median_secs,
-        overhead_pct,
+        timings.a_median(),
+        timings.b_median(),
+        overhead,
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[session] wrote {out_path}"),
-        Err(e) => eprintln!("[session] warning: could not write {out_path}: {e}"),
-    }
-
-    if max_overhead_pct >= 0.0 && overhead_pct > max_overhead_pct {
-        eprintln!(
-            "[session] FAIL: overhead {overhead_pct:.2}% above the {max_overhead_pct:.1}% gate"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("[session] PASS");
+    let mut gates = Gates::default();
+    gates.at_most("step overhead (%)", overhead.median, max_overhead_pct);
+    gates.finish("session", &out_path, &json);
 }

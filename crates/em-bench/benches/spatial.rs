@@ -4,8 +4,9 @@
 //! This is the perf gate for the kernel layer: on the default 5k-node,
 //! 128-dim pool the blocked pipeline must beat
 //! [`SpatialIndex::build_reference`] (the seed implementation, kept
-//! verbatim) by ≥ 4×. Results are printed criterion-style and written
-//! to `BENCH_spatial.json` for CI artifacts.
+//! verbatim) by ≥ 4×, as the median of 5 alternating pairs
+//! ([`em_bench::timing::paired`]). Results are written to
+//! `BENCH_spatial.json` for CI artifacts, quartiles included.
 //!
 //! Knobs (environment):
 //! * `EM_BENCH_N` / `EM_BENCH_DIM` — pool size / dimension
@@ -15,14 +16,17 @@
 //!   (default 4.0; set 0 to only report);
 //! * `RAYON_NUM_THREADS` — worker threads for the blocked pipeline.
 
-use std::io::Write as _;
-
 use battleship::{SpatialIndex, SpatialParams};
 use em_core::Rng;
 use em_graph::NodeKind;
 use em_vector::{AnnPolicy, Embeddings};
 
 use em_bench::env_or;
+use em_bench::gate::Gates;
+use em_bench::timing::paired;
+
+/// Alternating blocked/scalar pairs behind the speedup.
+const PAIRS: usize = 5;
 
 /// Gaussian blob pool mimicking matcher pair representations.
 fn pool(n: usize, dim: usize, seed: u64) -> Embeddings {
@@ -99,39 +103,25 @@ fn main() {
     );
 
     // Measure both pipelines in this same process/run.
-    eprintln!("[spatial] timing scalar baseline (seed implementation) …");
-    let scalar = criterion::measure(3, || {
-        SpatialIndex::build_reference(&data, &kinds, &confs, &p).expect("reference build")
-    });
-    eprintln!("[spatial] scalar baseline: {:.3} s", scalar.median_secs);
-
-    eprintln!("[spatial] timing blocked + parallel pipeline …");
-    let blocked = criterion::measure(5, || {
-        SpatialIndex::build(&data, &kinds, &confs, &p).expect("blocked build")
-    });
-    eprintln!("[spatial] blocked pipeline: {:.3} s", blocked.median_secs);
-
-    let speedup = scalar.median_secs / blocked.median_secs.max(1e-12);
+    eprintln!("[spatial] timing blocked pipeline vs scalar baseline ({PAIRS} pairs) …");
+    let (timings, _, _) = paired(
+        PAIRS,
+        || SpatialIndex::build(&data, &kinds, &confs, &p).expect("blocked build"),
+        || SpatialIndex::build_reference(&data, &kinds, &confs, &p).expect("reference build"),
+    );
+    let speedup = timings.ratio();
     let threads = rayon::current_num_threads();
-    eprintln!("[spatial] speedup: {speedup:.2}× (threads = {threads}, gate: ≥ {min_speedup:.1}×)");
+    eprintln!("[spatial] speedup: {speedup} (threads = {threads}, gate: ≥ {min_speedup})");
 
     let json = format!(
-        "{{\n  \"bench\": \"SpatialIndex::build\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \"threads\": {threads},\n  \"scalar_median_secs\": {:.6},\n  \"blocked_median_secs\": {:.6},\n  \"speedup\": {:.3},\n  \"min_speedup_gate\": {min_speedup},\n  \"edges\": {},\n  \"k\": {}\n}}\n",
-        scalar.median_secs,
-        blocked.median_secs,
+        "{{\n  \"bench\": \"SpatialIndex::build\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \"threads\": {threads},\n  \"scalar_median_secs\": {:.6},\n  \"blocked_median_secs\": {:.6},\n  \"speedup\": {},\n  \"min_speedup_gate\": {min_speedup},\n  \"edges\": {},\n  \"k\": {}\n}}\n",
+        timings.b_median(),
+        timings.a_median(),
         speedup,
         fast.graph.n_edges(),
         fast.k,
     );
-    let json = em_bench::with_provenance(&json);
-    match std::fs::File::create(&out_path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => eprintln!("[spatial] wrote {out_path}"),
-        Err(e) => eprintln!("[spatial] warning: could not write {out_path}: {e}"),
-    }
-
-    if min_speedup > 0.0 && speedup < min_speedup {
-        eprintln!("[spatial] FAIL: speedup {speedup:.2}× below the {min_speedup:.1}× gate");
-        std::process::exit(1);
-    }
-    eprintln!("[spatial] PASS");
+    let mut gates = Gates::default();
+    gates.at_least("speedup (×)", speedup.median, min_speedup);
+    gates.finish("spatial", &out_path, &json);
 }

@@ -37,15 +37,38 @@ use battleship::{
 };
 use em_core::Result;
 
+pub mod gate;
 pub mod store;
+pub mod timing;
 
-/// Parse an environment variable, falling back to `default` when unset
-/// or unparsable — the shared knob reader of the gated bench binaries.
+/// Read a bench knob from the environment: `default` when unset, the
+/// parsed value when set. A set value that does not parse panics with
+/// the variable's name and text, so a mistyped knob never runs the
+/// default gate.
 pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_knob(name, std::env::var(name).ok().as_deref(), default)
+}
+
+/// [`env_or`]'s parse of an optional raw value.
+pub fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>, default: T) -> T {
+    match raw {
+        None => default,
+        Some(text) => text
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={text:?} does not parse")),
+    }
+}
+
+/// Parse a comma-separated knob list; empty text is an empty list and
+/// a malformed entry panics with the variable's name and text.
+pub fn parse_list<T: std::str::FromStr>(name: &str, text: &str) -> Vec<T> {
+    let entries = text.split(',').map(str::trim);
+    (entries.filter(|_| !text.trim().is_empty()))
+        .map(|e| {
+            e.parse()
+                .unwrap_or_else(|_| panic!("{name}={text:?}: {e:?} does not parse"))
+        })
+        .collect()
 }
 
 /// Experiment size.
@@ -273,23 +296,6 @@ impl Provenance {
     }
 }
 
-/// Inject the detected [`Provenance`] into a hand-assembled JSON object
-/// string, as a `"provenance"` member before the closing brace. Returns
-/// the input unchanged if it does not end in an object.
-pub fn with_provenance(json: &str) -> String {
-    match json.rfind('}') {
-        Some(pos) => {
-            let head = json[..pos].trim_end().trim_end_matches(',');
-            format!(
-                "{head},\n  {}\n{}",
-                Provenance::detect().json_fragment(),
-                &json[pos..]
-            )
-        }
-        None => json.to_string(),
-    }
-}
-
 /// The serialized output of the Figure 5 sweep, reused by Tables 4/5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig5Results {
@@ -468,6 +474,36 @@ mod tests {
     fn method_names_are_stable() {
         let names: Vec<&str> = StrategySpec::all().iter().map(|s| s.name()).collect();
         assert_eq!(names, ["battleship", "dal", "dial", "random"]);
+    }
+
+    #[test]
+    fn a_knob_is_its_default_when_unset_and_its_value_when_set() {
+        assert_eq!(parse_knob("K", None, 5.0), 5.0);
+        assert_eq!(parse_knob("K", Some("10"), 5.0), 10.0);
+        assert_eq!(parse_knob("K", Some("-1"), 5.0), -1.0);
+        assert_eq!(parse_knob("K", Some("out.json"), String::new()), "out.json");
+    }
+
+    #[test]
+    #[should_panic(expected = "EM_BENCH_SESSION_MAX_OVERHEAD_PCT=\"1O\" does not parse")]
+    fn a_mistyped_knob_panics_with_its_name_and_text() {
+        parse_knob("EM_BENCH_SESSION_MAX_OVERHEAD_PCT", Some("1O"), 5.0);
+    }
+
+    #[test]
+    fn a_knob_list_parses_every_entry() {
+        assert_eq!(
+            parse_list::<usize>("L", "2048, 4096,8192"),
+            [2048, 4096, 8192]
+        );
+        assert!(parse_list::<usize>("L", "").is_empty());
+        assert!(parse_list::<usize>("L", "  ").is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "\"4O96\" does not parse")]
+    fn a_malformed_list_entry_panics() {
+        parse_list::<usize>("EM_BENCH_BLOCKING_SWEEP_SIZES", "2048,4O96");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Store-driving helpers shared by the `serve` and `chaos` benches: a
-//! heterogeneous session plan, ground-truth answers for every pending
-//! batch, and the store-wide drive to `Done`.
+//! heterogeneous session plan and its population, ground-truth answers
+//! for every pending batch, and the store-wide drive to `Done`.
 
-use battleship::api::{Label, PairIdx, RunReport, SessionPhase, SessionStore, StrategySpec};
+use battleship::api::{
+    Label, PairIdx, RunReport, Scenario, SessionConfig, SessionPhase, SessionStore, StrategySpec,
+};
+use battleship::ExperimentConfig;
 
 /// A planned session: its id, strategy and seed.
 pub type PlannedSession = (String, StrategySpec, u64);
@@ -21,6 +24,29 @@ pub fn session_plan(prefix: &str, seed_base: u64, n: usize) -> Vec<PlannedSessio
             )
         })
         .collect()
+}
+
+/// Register `scenario` in `store` and create every planned session on it.
+pub fn populate(
+    store: &SessionStore,
+    scenario: &Scenario,
+    config: &ExperimentConfig,
+    plan: &[PlannedSession],
+) {
+    store.register_scenario(scenario.clone());
+    for (id, strategy, seed) in plan {
+        store
+            .create(
+                id,
+                scenario.name(),
+                SessionConfig {
+                    experiment: config.clone(),
+                    strategy: *strategy,
+                    seed: *seed,
+                },
+            )
+            .expect("create session");
+    }
 }
 
 /// Answer every outstanding query batch from ground truth.
