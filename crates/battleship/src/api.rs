@@ -115,7 +115,7 @@ pub use crate::engine::{
     ScenarioSource,
 };
 pub use crate::report::{GridCell, GridReport, IterationRecord, MultiSeedReport, RunReport};
-pub use crate::runner::{run_active_learning, run_closed_loop};
+pub use crate::runner::run_active_learning;
 pub use crate::serve::{
     DirBackend, Fault, FaultPlan, FaultStats, FaultyBackend, MemoryBackend, RecoveryReport,
     RetryPolicy, SessionStatus, SessionStore, SnapshotBackend, SnapshotCodec,

@@ -50,8 +50,7 @@
 //!   that fans dataset × strategy × seed runs out across workers (each
 //!   worker drives one session against a perfect oracle),
 //! * [`runner`] — the single-run entry point (a thin oracle-driver over
-//!   a session) plus the preserved pre-redesign closed loop
-//!   ([`runner::run_closed_loop`], the golden/bench reference),
+//!   a session),
 //! * [`report`] — multi-seed and grid aggregation, F1 curves, AUC
 //!   (Table 5),
 //! * [`blocking`] — the sub-quadratic candidate-generation tier
@@ -89,7 +88,7 @@ pub use engine::{
     ScenarioSource,
 };
 pub use report::{GridCell, GridReport, IterationRecord, MultiSeedReport, RunReport};
-pub use runner::{run_active_learning, run_closed_loop};
+pub use runner::run_active_learning;
 pub use serve::{
     DirBackend, MemoryBackend, SessionStatus, SessionStore, SnapshotBackend, SnapshotCodec,
 };

@@ -9,18 +9,11 @@
 //! examples, benches and tests; a grid cell produced by the engine is
 //! bit-identical (modulo wall-clock) to what this wrapper returns for
 //! the same seed, which the engine's golden tests pin.
-//!
-//! [`run_closed_loop`] is the pre-redesign closed loop, preserved
-//! verbatim as the golden reference: `tests/session_api.rs` pins the
-//! session-driven path bit-identical to it for every strategy, and the
-//! `em-bench` session bench gates the step machinery's overhead
-//! against it.
 
 use em_core::{Dataset, Oracle, Result};
 use em_vector::Embeddings;
 
 use crate::config::ExperimentConfig;
-use crate::engine::worker::execute_run_closed;
 use crate::report::RunReport;
 use crate::session::MatchSession;
 use crate::strategies::SelectionStrategy;
@@ -40,24 +33,6 @@ pub fn run_active_learning(
     seed: u64,
 ) -> Result<RunReport> {
     MatchSession::with_strategy(dataset, features, strategy, config.clone(), seed)?.drive(oracle)
-}
-
-/// Execute a run through the pre-redesign closed protocol loop.
-///
-/// This is the reference implementation the session API was inverted
-/// from, preserved verbatim for golden comparisons and overhead
-/// benchmarking: [`run_active_learning`] produces a bit-identical
-/// report (modulo wall-clock fields) for the same inputs. Applications
-/// should use [`run_active_learning`] or the session API directly.
-pub fn run_closed_loop(
-    dataset: &Dataset,
-    features: &Embeddings,
-    strategy: &mut dyn SelectionStrategy,
-    oracle: &dyn Oracle,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Result<RunReport> {
-    execute_run_closed(dataset, features, strategy, oracle, config, seed)
 }
 
 #[cfg(test)]

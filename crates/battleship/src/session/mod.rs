@@ -30,11 +30,11 @@
 //!              └────────┘
 //! ```
 //!
-//! Each state transition is deterministic given the session seed, and a
-//! session driven against an oracle produces a [`RunReport`] **bit
-//! identical** (modulo wall-clock fields) to the preserved closed loop
-//! ([`crate::runner::run_closed_loop`]) — the golden tests in
-//! `tests/session_api.rs` pin this for every [`StrategySpec`]. [`MatchSession::snapshot`] /
+//! Each state transition is deterministic given the session seed: a
+//! session driven against an oracle produces the same [`RunReport`]
+//! (modulo wall-clock fields) every time, and `tests/report_golden.rs`
+//! pins its canonical bytes for every [`StrategySpec`] to a committed
+//! fixture. [`MatchSession::snapshot`] /
 //! [`MatchSession::restore`] serialize the complete loop state, so a
 //! session can be persisted mid-iteration (even with a half-labeled
 //! batch in flight) and resumed bit-identically on another process.
@@ -116,8 +116,8 @@ pub(crate) struct PendingBatch {
     /// Wall-clock of the predict+select step that produced the batch.
     pub(crate) select_secs: f64,
     /// Received labels, aligned with `pairs`. A strategy may select the
-    /// same pair more than once (the closed loop labeled it once per
-    /// occurrence), so each occurrence has its own slot.
+    /// same pair more than once (each occurrence is one oracle query),
+    /// so each occurrence has its own slot.
     pub(crate) received: Vec<Option<Label>>,
 }
 
@@ -168,10 +168,8 @@ impl Data<'_> {
 /// A resumable, step-driven active-learning run.
 ///
 /// Owns all loop state of the paper's protocol and exposes it as the
-/// explicit state machine documented in the [module docs](self). The
-/// closed-loop equivalent — [`MatchSession::drive`] against an oracle —
-/// reproduces [`crate::runner::run_closed_loop`] bit-identically
-/// (modulo wall-clock).
+/// explicit state machine documented in the [module docs](self);
+/// [`MatchSession::drive`] runs it to completion against an oracle.
 ///
 /// `S` is the strategy type the session steps; the default, a boxed
 /// `dyn` [`SelectionStrategy`], is what every public constructor
@@ -520,8 +518,8 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         Ok(self.phase)
     }
 
-    /// Move a fully-labeled batch into the train set (batch order, the
-    /// closed loop's oracle order) and arm the training step.
+    /// Move a fully-labeled batch into the train set (batch order, which
+    /// is the order the labels were asked for) and arm the training step.
     fn complete_batch(&mut self) -> Result<()> {
         let Some(batch) = self.pending.as_ref() else {
             return Err(EmError::Internal(
@@ -556,15 +554,15 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         Ok(self.report())
     }
 
-    // --- Protocol steps (bit-identical to the closed loop). ---------------
+    // --- Protocol steps (pinned by tests/report_golden.rs). ---------------
 
     /// Draw the balanced initialisation seed (`seed_size/2` matches and
     /// non-matches; the standard assumption the paper takes from Kasai
     /// et al.) and emit it as the first query batch.
     ///
-    /// The *choice* of seed pairs uses ground truth for balance (as the
-    /// closed loop did); their *labels* still come from the caller, so
-    /// a noisy labeler flows through identically.
+    /// The *choice* of seed pairs uses ground truth for balance; their
+    /// *labels* still come from the caller, so a noisy labeler flows
+    /// through identically.
     fn draw_seed_batch(&mut self) -> Result<()> {
         let seed_size = self.config.al.seed_size;
         let mut shuffled = self.pool.clone();
@@ -630,8 +628,7 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
         })?;
         debug_assert!(batch.is_complete());
 
-        // Fresh per-iteration matcher seed — the closed loop's
-        // `rng.next_u64()` in the same stream position.
+        // Fresh per-iteration matcher seed from the session's stream.
         let matcher_config = MatcherConfig {
             seed: self.rng.next_u64(),
             ..self.config.matcher.clone()
@@ -661,9 +658,8 @@ impl<'a, S: SelectionStrategy + ?Sized> MatchSession<'a, S> {
             weak_used: batch.weak.len(),
         });
 
-        // Loop control, as the closed loop orders it: the iteration
-        // budget first, then the pool-empty check at the next
-        // iteration's top.
+        // Loop control: the iteration budget first, then the pool-empty
+        // check at the next iteration's top.
         let completed_selections = self.iterations.len() - 1;
         if completed_selections >= self.config.al.iterations || self.pool.is_empty() {
             self.phase = SessionPhase::Done;

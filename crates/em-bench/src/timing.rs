@@ -4,7 +4,9 @@
 //! [`paired`] times alternating A/B pairs, the order swapped every pair,
 //! and [`Paired::ratio`] takes the median and quartiles of the per-pair
 //! ratios: host drift slower than a pair cancels in its ratio, and the
-//! swap keeps drift within a pair off one side.
+//! swap keeps drift within a pair off one side. A gate against a frozen
+//! figure has one side to time: [`samples`] times it alone and
+//! [`Summary::speedup_over`] divides the figure by it.
 
 use std::time::{Duration, Instant};
 
@@ -57,6 +59,14 @@ pub fn paired<A, B>(
         }
     }
     (timings, warm_a, warm_b)
+}
+
+/// Time `runs` samples of `f` after one untimed warm-up call, whose
+/// value comes back for the bench to check.
+pub fn samples<R>(runs: usize, mut f: impl FnMut() -> R) -> (Summary, R) {
+    let warm = f();
+    let secs: Vec<f64> = (0..runs).map(|_| sample(&mut f)).collect();
+    (Summary::of(&secs), warm)
 }
 
 /// Per-pair seconds of the two sides of [`paired`]; entry `i` of each
@@ -128,6 +138,19 @@ impl Summary {
         }
     }
 
+    /// `seed_secs / x` of a summary of seconds: the speed-up over a
+    /// frozen figure, its quartiles swapped since the division reverses
+    /// their order.
+    pub fn speedup_over(self, seed_secs: f64) -> Self {
+        let speedup = |secs: f64| seed_secs / secs.max(1e-12);
+        Summary {
+            q1: speedup(self.q3),
+            median: speedup(self.median),
+            q3: speedup(self.q1),
+            ..self
+        }
+    }
+
     /// A ratio summary as a percentage overhead, `100 · (r − 1)`.
     pub fn overhead_pct(self) -> Self {
         let pct = |r: f64| 100.0 * (r - 1.0);
@@ -194,6 +217,28 @@ mod tests {
             || "b",
         );
         assert_eq!((a, b), (1, "b"));
+    }
+
+    #[test]
+    fn samples_warm_once_then_time_each_run() {
+        let calls = RefCell::new(0u32);
+        let (secs, warm) = samples(3, || {
+            *calls.borrow_mut() += 1;
+            std::thread::sleep(SAMPLE_FLOOR);
+            *calls.borrow()
+        });
+        assert_eq!((warm, *calls.borrow(), secs.pairs), (1, 4, 3));
+        assert!(secs.q1 >= SAMPLE_FLOOR.as_secs_f64());
+    }
+
+    #[test]
+    fn speedup_over_divides_a_frozen_figure_and_swaps_quartiles() {
+        let secs = Summary::of(&[1.0, 2.0, 4.0]);
+        let s = secs.speedup_over(8.0);
+        assert_eq!(
+            (s.q1, s.median, s.q3, s.pairs),
+            (8.0 / 3.0, 4.0, 16.0 / 3.0, 3)
+        );
     }
 
     #[test]

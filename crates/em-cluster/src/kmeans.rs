@@ -415,4 +415,26 @@ mod tests {
         assert_eq!(res.assignment.len(), 12);
         assert!(res.sse < 1e-9);
     }
+
+    /// The seed's scalar K-Means SSE on the blobs of the test below
+    /// (k = 4, seed 3). Measured once at commit 11539af, the last with
+    /// the seed copy; that copy was serial and scalar, so host, SIMD
+    /// tier and thread count do not enter.
+    const SEED_SSE: f32 = 56.60928;
+
+    #[test]
+    fn sse_stays_within_band_of_the_seed_figure() {
+        // Not bit-compatible with the seed (different FP association),
+        // but on blob data both land clusterings of essentially equal SSE.
+        let centers = [[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [0.0, 10.0]];
+        let data = blobs(30, &centers, 0.5, 2);
+        let cfg = KMeansConfig {
+            k: 4,
+            seed: 3,
+            ..Default::default()
+        };
+        let res = kmeans(&data, cfg).unwrap();
+        let ratio = f64::from(res.sse) / f64::from(SEED_SSE);
+        assert!((0.8..=1.25).contains(&ratio), "sse ratio {ratio}");
+    }
 }

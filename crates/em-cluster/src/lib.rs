@@ -18,10 +18,7 @@
 //! * [`kneedle`] — knee-point detection (Satopaa et al. 2011),
 //! * [`silhouette`] — cluster-quality scoring (Rousseeuw 1987),
 //! * [`kselect`] — the paper's `k`-selection policy combining the two,
-//! * [`gmm`] — diagonal-covariance Gaussian mixture EM,
-//! * [`reference`](mod@reference) — the seed's scalar/serial clustering
-//!   paths, kept verbatim as the measured baseline for the blocked +
-//!   parallel implementations above.
+//! * [`gmm`] — diagonal-covariance Gaussian mixture EM.
 
 pub mod constrained;
 pub mod flow;
@@ -29,7 +26,6 @@ pub mod gmm;
 pub mod kmeans;
 pub mod kneedle;
 pub mod kselect;
-pub mod reference;
 pub mod silhouette;
 
 pub use constrained::{constrained_kmeans, ConstrainedConfig};
@@ -37,7 +33,4 @@ pub use gmm::{Gmm, GmmConfig};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use kneedle::kneedle_decreasing;
 pub use kselect::{select_k, KSelectConfig, KSelection, KSelectionMethod};
-pub use reference::{
-    constrained_kmeans_reference, kmeans_reference, select_k_reference, silhouette_reference,
-};
 pub use silhouette::silhouette_score;

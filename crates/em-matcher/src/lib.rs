@@ -22,9 +22,6 @@
 //!   representation** (the `[CLS]` analogue); both passes are
 //!   layer-level GEMMs on `em-vector`'s runtime-dispatched kernels over
 //!   a reusable workspace,
-//! * [`reference`](mod@reference) — the seed's per-sample scalar
-//!   forward/backward/train/predict loops, preserved verbatim as the
-//!   measured baseline for the `em-bench` matcher benchmark,
 //! * [`adamw`] — the AdamW optimizer (Loshchilov & Hutter), which the
 //!   paper also uses,
 //! * [`matcher`] — the training loop: mini-batches, epochs, best-epoch
@@ -41,7 +38,6 @@ pub mod features;
 mod labels;
 pub mod matcher;
 pub mod mlp;
-pub mod reference;
 
 pub use adamw::AdamW;
 pub use calibration::{apply_temperature, expected_calibration_error};
@@ -49,4 +45,3 @@ pub use committee::{Committee, CommitteeConfig};
 pub use features::{FeatureConfig, Featurizer};
 pub use matcher::{train_matcher, MatcherConfig, MatcherOutput, MatcherSnapshot, TrainedMatcher};
 pub use mlp::{Mlp, MlpWorkspace, DENSE_INPUT_DENSITY};
-pub use reference::{predict_reference, train_matcher_reference};

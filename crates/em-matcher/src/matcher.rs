@@ -25,8 +25,7 @@
 //! index order; and [`TrainedMatcher::predict`] packs the requested
 //! rows and fans the forward passes out over the same chunks —
 //! bit-identical to the per-row [`TrainedMatcher::predict_one`] path,
-//! chunked or not (the golden tests below assert it). The seed's scalar
-//! loop lives on in [`crate::reference`] as the benchmark baseline.
+//! chunked or not (the golden tests below assert it).
 //!
 //! # Certified labels
 //!
@@ -259,30 +258,10 @@ pub struct MatcherOutput {
 }
 
 impl TrainedMatcher {
-    /// Assemble a matcher from parts (the seed-verbatim reference
-    /// training loop constructs its probes and results this way).
-    pub(crate) fn from_parts(
-        mlp: Mlp,
-        temperature: f32,
-        best_valid_f1: f64,
-        best_epoch: usize,
-    ) -> Self {
-        TrainedMatcher {
-            mlp,
-            temperature,
-            best_valid_f1,
-            best_epoch,
-        }
-    }
-
-    /// The underlying network (reference paths and tests read it).
+    /// The underlying network, for tests.
+    #[cfg(test)]
     pub(crate) fn mlp(&self) -> &Mlp {
         &self.mlp
-    }
-
-    /// The prediction-time sharpening temperature.
-    pub(crate) fn temperature(&self) -> f32 {
-        self.temperature
     }
 
     /// Capture the matcher's complete state for checkpointing.
@@ -969,14 +948,11 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_probe_matches_reference_epoch_selection() {
-        // The borrowed validation probe must select the same best epoch
-        // and report the same best F1 as the seed's clone-based probe on
-        // the identical training trajectory. The reference trains with
-        // the seed's scalar arithmetic, so compare it against itself
-        // through the new matcher's evaluate path instead: both probes
-        // reduce to label-level F1, and labels only depend on the logit
-        // sign, which both compute from the same snapshots.
+    fn evaluate_on_selected_snapshot_reproduces_best_valid_f1() {
+        // The validation F1 the borrowed probe records for the selected
+        // epoch must be what the full prediction path reads on the
+        // restored snapshot: `evaluate` over the validation rows gives
+        // `best_valid_f1` to the bit.
         let p = DatasetProfile::walmart_amazon().scaled(0.1);
         let d = generate(&p, &mut Rng::seed_from_u64(7)).unwrap();
         let f = Featurizer::new(&d, FeatureConfig::default()).unwrap();
@@ -990,8 +966,6 @@ mod tests {
             ..Default::default()
         };
         let m = train_matcher(&feats, &train, &train_labels, &valid, &valid_labels, &cfg).unwrap();
-        // The selected snapshot must actually achieve the reported F1
-        // through the full prediction path.
         let f1 = m.evaluate(&feats, &valid, &valid_labels).unwrap().f1;
         assert_eq!(f1.to_bits(), m.best_valid_f1.to_bits());
     }

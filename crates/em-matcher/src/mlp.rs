@@ -52,8 +52,6 @@
 //! one-row batch, so per-row and batched prediction agree bit for bit.
 //! The tests below pin every path, in both layouts, against a dense,
 //! output-major oracle (per-output `dot` plus bias) on every tier.
-//! The seed's per-sample scalar implementation is preserved verbatim in
-//! [`crate::reference`] as the measured baseline.
 
 // Numeric kernels here walk several parallel arrays by index; the
 // indexed form keeps the lockstep structure visible.
@@ -282,8 +280,7 @@ impl Mlp {
         &mut self.params
     }
 
-    /// Layer metadata view (the seed-verbatim reference path and the
-    /// certified labels read it).
+    /// Layer metadata view (the certified labels read it).
     pub(crate) fn layer_specs(&self) -> &[LayerSpec] {
         &self.layers
     }
@@ -531,8 +528,7 @@ impl Mlp {
     /// The whole pass is layer-level: per layer one weight-gradient
     /// product (`∂W = Δᵀ·A / batch`) and one delta propagation
     /// (`Δ' = Δ·W`, ReLU-gated), both in vectorized rank-1-update order
-    /// (see the module docs) — the seed's per-sample index loops are
-    /// preserved in [`crate::reference::backward_batch_reference`].
+    /// (see the module docs).
     fn backward_pass(
         &self,
         sparse_rows: Option<&SparseRows>,
@@ -716,41 +712,45 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
+        // A one-input toy, the 37 × [16] forward shape and a two-hidden
+        // 24 × [12, 6] network.
         let mut rng = Rng::seed_from_u64(3);
-        let mut mlp = Mlp::new(3, &[4], &mut rng).unwrap();
-        let x: Vec<f32> = vec![0.5, -0.3, 0.8];
-        let y = 1.0f32;
-        let mut grads = Vec::new();
-        let mut ws = MlpWorkspace::new();
-        mlp.backward_batch(&[&x], &[y], &[1.0], &mut ws, &mut grads)
-            .unwrap();
+        for (dim, hidden) in [(3usize, vec![4usize]), (37, vec![16]), (24, vec![12, 6])] {
+            let mut mlp = Mlp::new(dim, &hidden, &mut rng).unwrap();
+            let x: Vec<f32> = (0..dim).map(|_| rng.normal() as f32 * 0.5).collect();
+            let y = 1.0f32;
+            let mut grads = Vec::new();
+            let mut ws = MlpWorkspace::new();
+            mlp.backward_batch(&[&x], &[y], &[1.0], &mut ws, &mut grads)
+                .unwrap();
 
-        let loss_of = |m: &Mlp| -> f32 {
-            let (logit, _) = m.forward(&x).unwrap();
-            logit.max(0.0) - logit * y + (1.0 + (-logit.abs()).exp()).ln()
-        };
-        let eps = 1e-3f32;
-        let snapshot = mlp.snapshot();
-        let mut checked = 0;
-        for p in (0..mlp.n_params()).step_by(4) {
-            let mut plus = snapshot.clone();
-            plus[p] += eps;
-            mlp.restore(&plus).unwrap();
-            let lp = loss_of(&mlp);
-            let mut minus = snapshot.clone();
-            minus[p] -= eps;
-            mlp.restore(&minus).unwrap();
-            let lm = loss_of(&mlp);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (numeric - grads[p]).abs() < 1e-2,
-                "param {p}: numeric {numeric} vs analytic {}",
-                grads[p]
-            );
-            checked += 1;
+            let loss_of = |m: &Mlp| -> f32 {
+                let (logit, _) = m.forward(&x).unwrap();
+                logit.max(0.0) - logit * y + (1.0 + (-logit.abs()).exp()).ln()
+            };
+            let eps = 1e-3f32;
+            let snapshot = mlp.snapshot();
+            let mut checked = 0;
+            for p in (0..mlp.n_params()).step_by(4) {
+                let mut plus = snapshot.clone();
+                plus[p] += eps;
+                mlp.restore(&plus).unwrap();
+                let lp = loss_of(&mlp);
+                let mut minus = snapshot.clone();
+                minus[p] -= eps;
+                mlp.restore(&minus).unwrap();
+                let lm = loss_of(&mlp);
+                let numeric = (lp - lm) / (2.0 * eps);
+                assert!(
+                    (numeric - grads[p]).abs() < 1e-2,
+                    "{dim} × {hidden:?} param {p}: numeric {numeric} vs analytic {}",
+                    grads[p]
+                );
+                checked += 1;
+            }
+            assert!(checked > 3);
+            mlp.restore(&snapshot).unwrap();
         }
-        assert!(checked > 3);
-        mlp.restore(&snapshot).unwrap();
     }
 
     #[test]
@@ -1018,9 +1018,15 @@ mod tests {
     fn both_layouts_match_dense_oracle_on_every_tier() {
         // Width 100 leaves remainders past both the 16- and 32-wide
         // steps and wraps the 64-slot period; 848 × [96] is the
-        // matcher's shape. Batch 21 exercises ragged GEMM tiles.
+        // matcher's shape; 37 × [16] and 24 × [12, 6] are short odd
+        // widths. Batch 21 exercises ragged GEMM tiles.
         let mut rng = Rng::seed_from_u64(40);
-        let shapes = [(100usize, vec![24usize, 9]), (848, vec![96])];
+        let shapes = [
+            (100usize, vec![24usize, 9]),
+            (848, vec![96]),
+            (37, vec![16]),
+            (24, vec![12, 6]),
+        ];
         let cases = [true, false]
             .into_iter()
             .flat_map(|sparse| shapes.clone().map(|shape| (shape, sparse)));

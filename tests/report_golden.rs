@@ -41,7 +41,12 @@ fn tiny_grid() -> ExperimentGrid {
             0.04,
             5,
         )],
-        vec![StrategySpec::Random, StrategySpec::Battleship],
+        vec![
+            StrategySpec::Random,
+            StrategySpec::Battleship,
+            StrategySpec::Dal,
+            StrategySpec::Dial,
+        ],
         GridConfig {
             experiment,
             master_seed: 0x0B17_5EED,
