@@ -1018,23 +1018,37 @@ mod tests {
     fn both_layouts_match_dense_oracle_on_every_tier() {
         // Width 100 leaves remainders past both the 16- and 32-wide
         // steps and wraps the 64-slot period; 848 × [96] is the
-        // matcher's shape; 37 × [16] and 24 × [12, 6] are short odd
-        // widths. Batch 21 exercises ragged GEMM tiles.
-        let mut rng = Rng::seed_from_u64(40);
-        let shapes = [
-            (100usize, vec![24usize, 9]),
-            (848, vec![96]),
-            (37, vec![16]),
-            (24, vec![12, 6]),
-        ];
+        // matcher's shape. Batch 21 exercises ragged GEMM tiles.
+        assert_matches_dense_oracle(&[(100, vec![24, 9]), (848, vec![96])], 21, 40);
+    }
+
+    #[test]
+    fn forward_matches_dense_oracle_on_a_short_odd_width() {
+        // 37 × [16]: an input narrower than one 64-slot period with an
+        // odd remainder past the 16- and 32-wide steps.
+        assert_matches_dense_oracle(&[(37, vec![16])], 20, 50);
+    }
+
+    #[test]
+    fn backward_matches_dense_oracle_with_two_hidden_layers() {
+        // 24 × [12, 6]: the delta propagates through two ReLU-gated
+        // hidden layers of short odd width.
+        assert_matches_dense_oracle(&[(24, vec![12, 6])], 10, 51);
+    }
+
+    /// Checks single-row, batched and sparse forward and backward, in
+    /// both layouts and on every tier, bit for bit against the dense
+    /// output-major oracle.
+    fn assert_matches_dense_oracle(shapes: &[(usize, Vec<usize>)], batch: usize, seed: u64) {
+        let mut rng = Rng::seed_from_u64(seed);
         let cases = [true, false]
             .into_iter()
-            .flat_map(|sparse| shapes.clone().map(|shape| (shape, sparse)));
+            .flat_map(|sparse| shapes.iter().map(move |shape| (shape, sparse)));
         for ((dim, hidden), sparse_input) in cases {
-            let mut mlp = Mlp::new(dim, &hidden, &mut rng).unwrap();
+            let dim = *dim;
+            let mut mlp = Mlp::new(dim, hidden, &mut rng).unwrap();
             mlp.set_sparse_input(sparse_input);
             let repr = *hidden.last().unwrap();
-            let batch = 21;
             let xs = feature_rows(batch, dim, &mut rng);
             let ys: Vec<f32> = (0..batch).map(|s| (s % 2) as f32).collect();
             for tier in TIERS {
